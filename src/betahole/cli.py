@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import base_solver, classifier, lyndon_intervals, survivor_shift, windows
 from .errors import BetaholeError, DepthExceeded
-from .seq_core import EPSeq, RatInterval, format_interval, periodic
+from .seq_core import EPSeq, RatInterval, format_interval, periodic, seq_key
 
 SCHEMA = "betahole/1"
 
@@ -197,7 +197,7 @@ def cmd_staircase(args) -> int:
             if seq_lt(t_r, tau_greedy):
                 samples.append(t_r)
         max_len += 1
-    samples.sort(key=lambda x: tuple(int(x.digit(i)) for i in range(80)))
+    samples.sort(key=seq_key)
     samples = samples[: args.points]
     lines = ["t_lo,t_hi,dim_lo,dim_hi,seq"]
     for t_r in samples:
@@ -230,13 +230,40 @@ def cmd_gap(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one line and exit 2."""
+
+    def error(self, message):
+        self.exit(2, "%s: error: %s\n" % (self.prog, message))
+
+
+def _rational(text: str) -> str:
+    """argparse type: a rational number, kept as typed for the payload."""
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("not a rational number: %r" % (text,)) from None
+    return text
+
+
+def _count(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not an integer: %r" % (text,)) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0: %r" % (text,))
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="betahole")
+    parser = _Parser(prog="betahole")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("alpha", help="digits of alpha(beta) for rational beta")
-    p.add_argument("--beta", required=True)
-    p.add_argument("--digits", type=int, default=64)
+    p.add_argument("--beta", required=True, type=_rational)
+    p.add_argument("--digits", type=_count, default=64)
     p.set_defaults(func=cmd_alpha)
 
     p = sub.add_parser("beta", help="enclosure of beta from alpha")
@@ -245,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="renormalization classification")
     p.add_argument("--alpha", required=True)
-    p.add_argument("--max-depth", type=int, default=64)
+    p.add_argument("--max-depth", type=_count, default=64)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("tau", help="critical point tau(beta)")
@@ -254,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plateaus", help="entropy plateaus up to a word-length cutoff")
     p.add_argument("--alpha", required=True)
-    p.add_argument("--max-len", type=int, default=12)
+    p.add_argument("--max-len", type=_count, default=12)
     p.set_defaults(func=cmd_plateaus)
 
     p = sub.add_parser("windows", help="non-transitivity windows")
@@ -273,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("staircase", help="devil's staircase samples as CSV")
     p.add_argument("--alpha", required=True)
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--points", type=_count, default=200)
     p.add_argument("--out")
     p.set_defaults(func=cmd_staircase)
 
@@ -290,18 +317,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_precision_env() -> None:
-    # BETAHOLE_PRECISION gives the enclosure precision in bits
+def _apply_precision_env() -> bool:
+    """Apply BETAHOLE_PRECISION (enclosure precision in bits); False when
+    it is set but not a positive integer."""
     import os
 
     bits = os.environ.get("BETAHOLE_PRECISION")
-    if bits:
-        base_solver.DEFAULT_TOL = Fraction(1, 2 ** int(bits))
+    if not bits:
+        return True
+    try:
+        value = int(bits)
+    except ValueError:
+        value = 0
+    if value < 1:
+        print("error: BETAHOLE_PRECISION must be a positive integer (bits): %r" % (bits,), file=sys.stderr)
+        return False
+    base_solver.DEFAULT_TOL = Fraction(1, 2**value)
+    return True
 
 
 def run(argv=None) -> int:
     parser = build_parser()
-    _apply_precision_env()
+    if not _apply_precision_env():
+        return 2
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

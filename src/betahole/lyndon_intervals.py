@@ -25,6 +25,7 @@ from .seq_core import (
     n_tails,
     periodic,
     seq_ge,
+    seq_key,
     seq_le,
     seq_lt,
     shift,
@@ -215,7 +216,7 @@ def plateaus(alpha: EPSeq, max_word_len: int = 12, with_entropy: bool = True) ->
         for e in candidates
         if not any(o is not e and _contains(o, e) for o in candidates)
     ]
-    maximal.sort(key=lambda e: _sort_key(e.right_seq))
+    maximal.sort(key=lambda e: seq_key(e.right_seq))
     out: List[Plateau] = []
     if with_entropy:
         from .survivor_shift import entropy_of_bounds
@@ -235,10 +236,6 @@ def plateaus(alpha: EPSeq, max_word_len: int = 12, with_entropy: bool = True) ->
     if prev is not None and seq_lt(prev, tau_point.greedy):
         gaps.append((prev, tau_point.greedy))
     return PlateauReport(tuple(out), max_word_len, False, tuple(gaps))
-
-
-def _sort_key(x: EPSeq):
-    return tuple(int(x.digit(i)) for i in range(64))
 
 
 def exceptional_points(chain, which: str) -> List[EPSeq]:

@@ -13,12 +13,14 @@ word d as c 1^inf vs d 0^inf, and to a sequence x as c 1^inf vs x.
 
 The numeric kernel is exact rational arithmetic (fractions.Fraction).
 A base beta is carried as a rational interval enclosure, and pi_beta
-maps an EPSeq to a rational interval using monotonicity in beta.
+maps an EPSeq to a rational interval using monotonicity in beta.  Log
+is bounded in integer fixed point with directed rounding.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -135,11 +137,6 @@ ZERO = EPSeq("", "0")
 ONE = EPSeq("", "1")
 
 
-def canonicalize(pre: str, per: str) -> EPSeq:
-    """Canonical form of pre.per^inf; idempotent."""
-    return EPSeq(pre, per)
-
-
 def lex_cmp(x: EPSeq, y: EPSeq) -> Ordering:
     """Exact lexicographic comparison of two sequences.
 
@@ -155,6 +152,10 @@ def lex_cmp(x: EPSeq, y: EPSeq) -> Ordering:
         if dx != dy:
             return Ordering.LESS if dx < dy else Ordering.GREATER
     raise AssertionError("distinct canonical EPSeqs agree beyond the decision bound")
+
+
+# sort key for the exact lexicographic order of EPSeq values
+seq_key = functools.cmp_to_key(lex_cmp)
 
 
 def seq_lt(x: EPSeq, y: EPSeq) -> bool:
@@ -196,11 +197,6 @@ def shift(x: EPSeq, n: int) -> EPSeq:
 def n_tails(x: EPSeq) -> int:
     """Number of shifts after which the tails of x start repeating."""
     return len(x.pre) + len(x.per)
-
-
-def tails(x: EPSeq):
-    """All distinct tails sigma^n(x), n = 0 .. |pre|+|per|-1 (may repeat)."""
-    return [shift(x, n) for n in range(n_tails(x))]
 
 
 def is_shift_maximal(x: EPSeq) -> bool:
@@ -268,52 +264,75 @@ class RatInterval:
         return self.hi < other.lo
 
 
-# enclosure of log on (0, 4]: series ln x = 2 atanh((x-1)/(x+1)), with an
-# explicit tail bound so both endpoints are certified
+# Certified logarithm in integer fixed point.  A value is carried as an
+# integer F standing for F / 2^bits; every rounding is directed, so the
+# integer results are proven lower and upper bounds.
 _LOG_ERR = Fraction(1, 10**32)
 
 
-def _log_point(x: Fraction, err: Fraction) -> RatInterval:
-    if x <= 0:
-        raise PreconditionError("log of a nonpositive number")
-    if x == 1:
-        return RatInterval(Fraction(0), Fraction(0))
-    if x < 1:
-        inner = _log_point(1 / x, err)
-        return RatInterval(-inner.hi, -inner.lo)
-    # halve until x <= 2 so the series argument stays small
-    halvings = 0
-    ln2 = None
-    while x > 2:
-        x = x / 2
-        halvings += 1
-    if halvings:
-        ln2 = _log_point(Fraction(2), err / (2 * halvings))
-    z = (x - 1) / (x + 1)
-    z2 = z * z
-    total = Fraction(0)
-    term = z
+def _atanh_fixed(a: int, b: int, bits: int):
+    """Integers lo <= 2^bits atanh(a/b) <= hi, for 0 <= a/b <= 1/3.
+
+    Sums atanh z = sum_k z^(2k+1) / (2k+1) with floored powers T_k of z:
+    T_k undershoots z^(2k+1) 2^bits by less than 2 / (1 - z^2) <= 9/4, so
+    each floored term is short by less than 4.  Once T_N = 0 the tail
+    left out is below 9/4 * 9/8 / (2N+1) < 1, or below 9/8 if T_0 = 0
+    already.  Hence hi = lo + 4N + 2.
+    """
+    term = (a << bits) // b
+    z2 = (a * a << bits) // (b * b)
+    total = 0
     k = 0
-    while True:
-        total += term / (2 * k + 1)
-        term *= z2
+    while term:
+        total += term // (2 * k + 1)
+        term = (term * z2) >> bits
         k += 1
-        # remaining tail < term / ((2k+1) (1 - z^2))
-        tail = term / ((2 * k + 1) * (1 - z2))
-        if 2 * tail < err:
-            break
-    lo, hi = 2 * total, 2 * total + 2 * tail
-    if halvings:
-        lo += halvings * ln2.lo
-        hi += halvings * ln2.hi
-    return RatInterval(lo, hi)
+    return total, total + 4 * k + 2
+
+
+@functools.lru_cache(maxsize=16)
+def _ln2_fixed(bits: int):
+    """Bounds on 2^bits ln 2 = 2^bits 2 atanh(1/3), computed on first use."""
+    lo, hi = _atanh_fixed(1, 3, bits)
+    return 2 * lo, 2 * hi
+
+
+def _log_bound(x: Fraction, prec: int, upper: bool) -> Fraction:
+    """A lower (upper=False) or upper bound on log x, off by < 2^-(prec+1)."""
+    p, q = x.numerator, x.denominator
+    # x = 2^k m with m in (3/4, 3/2], so |(m-1)/(m+1)| <= 1/5
+    k = p.bit_length() - q.bit_length()
+    if p << max(-k, 0) < q << max(k, 0):
+        k -= 1
+    if 2 * (p << max(-k, 0)) > 3 * (q << max(k, 0)):
+        k += 1
+    # error in units of 2^-bits: under 7 bits/4 + 16 from the series, 2
+    # from rounding m, and |k| times the width of ln 2, under 5 bits/2 + 16;
+    # these guard bits keep the sum below 2^(bits - prec - 1)
+    bits = prec + 10 + prec.bit_length() + abs(k).bit_length()
+    num, den = p << max(bits - k, 0), q << max(k - bits, 0)
+    m = -(-num // den) if upper else num // den  # m 2^bits, rounded outward
+    a, b = m - (1 << bits), m + (1 << bits)
+    s = 0  # log 1 = 0 exactly
+    if a > 0:
+        lo, hi = _atanh_fixed(a, b, bits)
+        s = 2 * hi if upper else 2 * lo
+    elif a < 0:
+        lo, hi = _atanh_fixed(-a, b, bits)
+        s = -2 * lo if upper else -2 * hi
+    if k:
+        ln2_lo, ln2_hi = _ln2_fixed(bits)
+        s += k * (ln2_hi if (k > 0) == upper else ln2_lo)
+    return Fraction(s, 1 << bits)
 
 
 def log_interval(x: RatInterval, err: Fraction = _LOG_ERR) -> RatInterval:
-    """Certified enclosure of {log v : v in x}."""
-    lo = _log_point(x.lo, err)
-    hi = lo if x.hi == x.lo else _log_point(x.hi, err)
-    return RatInterval(lo.lo, hi.hi)
+    """Certified enclosure of {log v : v in x}, at most err wider than
+    [log x.lo, log x.hi]; log 1 is exactly 0."""
+    if x.lo <= 0:
+        raise PreconditionError("log of a nonpositive number")
+    prec = (err.denominator // err.numerator).bit_length()
+    return RatInterval(_log_bound(x.lo, prec, False), _log_bound(x.hi, prec, True))
 
 
 def format_interval(x: RatInterval, places: int = 15):

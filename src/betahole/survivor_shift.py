@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from .errors import EmptyShift, PreconditionError
@@ -34,7 +35,7 @@ from .seq_core import (
     seq_le,
 )
 
-ENTROPY_TOL = Fraction(1, 10**14)
+ENTROPY_TOL = Fraction(1, 10**18)
 
 
 def _fold(i: int, pre: int, per: int) -> int:
@@ -288,51 +289,79 @@ def essential_part(aut: ShiftAutomaton) -> ShiftAutomaton:
 # Perron root and entropy
 
 
-def _collatz_wielandt(mat: List[List[int]], u: List[int]) -> RatInterval:
-    ratios = []
-    for i, row in enumerate(mat):
-        s = sum(a * x for a, x in zip(row, u))
-        ratios.append(Fraction(s, u[i]))
-    return RatInterval(min(ratios), max(ratios))
-
-
 def perron_root(mat: List[List[int]], tol: Fraction = ENTROPY_TOL) -> RatInterval:
-    """Certified enclosure of the Perron root of an irreducible
-    nonnegative integer matrix."""
+    """Certified enclosure, of width at most tol, of the Perron root of an
+    irreducible nonnegative integer matrix.
+
+    Power iteration on A + I (primitive for irreducible A) in integer
+    fixed point: the vector is kept at about ``bits`` bits and its entries
+    at >= 1.  Every few steps the Collatz-Wielandt quotients of the step
+    just taken bound the root of A + I exactly; the brackets are
+    intersected.  When the bracket stops improving the vector is too
+    coarse for tol, and ``bits`` doubles, so the loop always ends.
+    """
     n = len(mat)
+    if tol <= 0:
+        raise PreconditionError("perron_root needs a positive tolerance")
+    edges = [{j: j for j, a in enumerate(row) if a} for row in mat]
+    if n == 0 or len(strongly_connected_components(edges)) > 1:
+        raise PreconditionError("perron_root needs an irreducible matrix")
     if n == 1:
         return RatInterval.point(Fraction(mat[0][0]))
-    # power iteration on A + I (primitive for irreducible A), certified
-    # through exact Collatz-Wielandt quotients on a rounded vector; the
-    # matrices here are automaton adjacencies with at most two nonzero
-    # entries per row, so iterate on the sparse form
-    sparse = [[(j, a) for j, a in enumerate(row) if a] for row in mat]
-    v = [1.0] * n
-    best = None
+    # A as a sum of selection layers: the k-th unit in row i sits in column
+    # layers[k][i], and index n reads a padding 0 kept at the end of u, so
+    # (A u)_i = sum_k u[layers[k][i]] runs as C-level maps
+    layers: List[List[int]] = []
+    for i, row in enumerate(mat):
+        cols = [j for j, a in enumerate(row) for _ in range(a)]
+        for k, j in enumerate(cols):
+            if k == len(layers):
+                layers.append([n] * n)
+            layers[k][i] = j
+    bits = (tol.denominator // tol.numerator).bit_length() + 16
+    u = [1 << bits] * n + [0]
+    # bracket lo_n/lo_d <= root of A + I <= hi_n/hi_d
+    lo_n, lo_d = 1, 1
+    hi_n, hi_d = len(layers) + 1, 1
     stalled = 0
-    iters = 0
-    while iters < 120000:
-        for _ in range(256):
-            w = [sum(a * v[j] for j, a in row) + v[i] for i, row in enumerate(sparse)]
-            big = max(w)
-            v = [x / big for x in w]
-            iters += 1
-        u = [max(1, round(x * 10**15)) for x in v]
-        cw = _collatz_wielandt(mat, u)
-        if best is None:
-            best = cw
-        else:
-            lo, hi = max(best.lo, cw.lo), min(best.hi, cw.hi)
-            prev = best.width()
-            best = RatInterval(lo, hi) if lo <= hi else cw
-            # certified but not shrinking: further iteration is wasted;
-            # return the honest (slightly wider) enclosure
-            stalled = stalled + 1 if best.width() > prev * Fraction(9, 10) else 0
-            if stalled >= 3:
-                return best
-        if best.width() <= tol:
-            return best
-    return best
+    step = 0
+    while True:
+        w = u
+        for layer in layers:
+            w = map(add, w, map(u.__getitem__, layer))
+        w = list(w)
+        step += 1
+        if step % 8 == 0:  # certify every 8 steps
+            # argmin and argmax of w_i / u_i by cross-multiplication
+            wa, ua = wb, ub = w[0], u[0]
+            for wi, ui in zip(w, u):
+                if wi * ua < wa * ui:
+                    wa, ua = wi, ui
+                elif wi * ub > wb * ui:
+                    wb, ub = wi, ui
+            improved = False
+            if wa * lo_d > lo_n * ua:
+                lo_n, lo_d = wa, ua
+                improved = True
+            if wb * hi_d < hi_n * ub:
+                hi_n, hi_d = wb, ub
+                improved = True
+            width_n, width_d = hi_n * lo_d - lo_n * hi_d, hi_d * lo_d
+            if width_n * tol.denominator <= tol.numerator * width_d:
+                return RatInterval(Fraction(lo_n - lo_d, lo_d), Fraction(hi_n - hi_d, hi_d))
+            # exact power iteration only ever tightens the quotients, so a
+            # check that improves neither bound means rounding noise has
+            # caught up; a slowly shrinking bracket is not a stall
+            if not improved:
+                stalled += 1
+                if stalled == 2:
+                    bits *= 2
+                    stalled = 0
+            shift = max(w).bit_length() - bits
+            if shift > 0:
+                w = [(x >> shift) or 1 for x in w]
+        w.append(0)
+        u = w
 
 
 def spectral_radius(mat: List[List[int]], tol: Fraction = ENTROPY_TOL) -> RatInterval:

@@ -1,13 +1,17 @@
 import json
+import os
 import subprocess
 import sys
 
+import pytest
 
-def run_cli(*argv):
+
+def run_cli(*argv, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "betahole.cli", *argv],
         capture_output=True,
         text=True,
+        env=None if env is None else {**os.environ, **env},
     )
     return proc
 
@@ -109,3 +113,25 @@ class TestExitCodes:
     def test_gap_below_threshold(self):
         proc = run_cli("gap", "--alpha", "1110100110111(001)", "--m", "0")
         assert proc.returncode == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("alpha", "--beta", "abc"),
+            ("alpha", "--beta", "1.8", "--digits", "-3"),
+            ("staircase", "--alpha", "(1)", "--points", "-1"),
+            ("plateaus", "--alpha", "(1)", "--max-len", "-1"),
+        ],
+        ids=["beta-not-rational", "digits-negative", "points-negative", "max-len-negative"],
+    )
+    def test_bad_argument_is_usage_error(self, argv):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and "error" in proc.stderr
+
+    def test_bad_precision_env_is_usage_error(self):
+        proc = run_cli("beta", "--alpha", "(1)", env={"BETAHOLE_PRECISION": "x"})
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and "BETAHOLE_PRECISION" in proc.stderr

@@ -19,6 +19,7 @@ from betahole.seq_core import (
     periodic,
     pi_beta,
     pi_beta_at,
+    seq_key,
     shift,
     word_zeros,
 )
@@ -103,6 +104,15 @@ class TestLexCmp:
             # transitivity
             if lex_cmp(x, y).value <= 0 and lex_cmp(y, z).value <= 0:
                 assert lex_cmp(x, z).value <= 0
+
+    def test_sort_key_orders_beyond_long_common_prefix(self):
+        # 1^70 0^inf < 1^70 (01)^inf, equal on their first 71 digits
+        x = word_zeros("1" * 70)
+        y = eps("1" * 70, "01")
+        assert x.prefix(71) == y.prefix(71)
+        assert naive_digits(x, 200) < naive_digits(y, 200)
+        assert sorted([y, x], key=seq_key) == [x, y]
+        assert sorted([x, y], key=seq_key) == [x, y]
 
     def test_word_conventions(self):
         assert cmp_word_seq("01", periodic("01")) is Ordering.GREATER
