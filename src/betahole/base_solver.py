@@ -3,19 +3,21 @@ and greedy expansions of points t in [0, 1).
 
 The exact direction is symbolic: an admissible eventually periodic alpha
 pins beta down as the unique root of pi_beta(alpha) = 1 in (1, 2], which
-we enclose by rational bisection (pi_beta is strictly decreasing in
-beta).  The numeric direction runs the quasi-greedy / greedy orbit with
-exact rational arithmetic when beta is rational, and with interval
-arithmetic plus refinement when beta is only known by an enclosure.
+we enclose by bisection at dyadic points (pi_beta is strictly decreasing
+in beta), each step decided by the sign of an integer polynomial.  The
+numeric direction runs the quasi-greedy / greedy orbit with exact
+rational arithmetic when beta is rational, and with interval arithmetic
+plus refinement when beta is only known by an enclosure.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import InadmissibleAlpha, PreconditionError, UndecidableDigit
+from .errors import InadmissibleAlpha, InvariantError, PreconditionError, UndecidableDigit
 from .seq_core import (
     EPSeq,
     ONE,
@@ -24,7 +26,6 @@ from .seq_core import (
     is_shift_maximal,
     n_tails,
     pi_beta,
-    pi_beta_at,
     seq_lt,
     shift,
 )
@@ -32,6 +33,8 @@ from .seq_core import (
 DEFAULT_TOL = Fraction(1, 10**30)
 
 
+# bounded: the word searches test the same few alphas thousands of times
+@functools.lru_cache(maxsize=256)
 def is_admissible_alpha(alpha: EPSeq) -> bool:
     """Quasi-greedy admissibility: 0^inf < sigma^n(alpha) <= alpha for n >= 1."""
     if alpha.per == "0":
@@ -58,28 +61,66 @@ class BetaSpec:
         return beta_from_alpha(self.alpha, tol=tol)
 
 
+def _excess_poly(alpha: EPSeq):
+    """Integer coefficients, highest degree first, of
+    f(b) = (P(b) - b^m)(b^n - 1) + Q(b), where P and Q are the digit
+    polynomials of alpha = p(q), m = |p| and n = |q|.  Then
+    pi_b(alpha) - 1 = f(b) / (b^m (b^n - 1)), so for b > 1 the sign of
+    f(b) is the sign of pi_b(alpha) - 1."""
+    m, n = len(alpha.pre), len(alpha.per)
+    head = [-1] + [int(d) for d in alpha.pre]  # P(b) - b^m, degree m
+    coeffs = [0] * (m + n + 1)
+    for i, c in enumerate(head):
+        coeffs[i] += c  # times b^n
+        coeffs[i + n] -= c  # times -1
+    for i, d in enumerate(alpha.per):
+        coeffs[m + 1 + i] += int(d)  # Q(b), degree n - 1
+    return coeffs
+
+
+def _sign_at(coeffs, a: int, k: int) -> int:
+    """Sign of f(a / 2^k): Horner's rule on 2^(k deg f) f(a / 2^k), in integers."""
+    h = coeffs[0]
+    for i in range(1, len(coeffs)):
+        h *= a
+        c = coeffs[i]
+        if c:
+            h += c << (k * i)
+    return (h > 0) - (h < 0)
+
+
 def beta_from_alpha(alpha: EPSeq, tol: Optional[Fraction] = None) -> BetaSpec:
-    """Enclose the unique beta in (1, 2] with pi_beta(alpha) = 1."""
+    """Enclose the unique beta in (1, 2] with pi_beta(alpha) = 1.
+
+    Bisection with lo = a_lo / 2^k and hi = a_hi / 2^k held as integers
+    over a common power of two; each midpoint is decided by the sign of
+    the integer polynomial of ``_excess_poly``.
+    """
     if tol is None:
         tol = DEFAULT_TOL
+    tol = Fraction(tol)
+    if tol <= 0:
+        raise PreconditionError("beta_from_alpha needs tol > 0")
     check_admissible_alpha(alpha)
     if alpha == ONE:
         return BetaSpec(alpha, RatInterval.point(Fraction(2)))
+    f = _excess_poly(alpha)
     # pi is strictly decreasing in beta; find lo with pi > 1, keep hi = 2
-    hi = Fraction(2)
-    lo = Fraction(3, 2)
-    while pi_beta_at(alpha, lo) <= 1:
-        lo = 1 + (lo - 1) / 2
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        v = pi_beta_at(alpha, mid)
-        if v == 1:
-            return BetaSpec(alpha, RatInterval.point(mid))
-        if v > 1:
-            lo = mid
+    k, a_lo, a_hi = 1, 3, 4
+    while _sign_at(f, a_lo, k) <= 0:
+        k, a_lo, a_hi = k + 1, a_lo + (1 << k), 2 * a_hi  # lo <- 1 + (lo - 1) / 2
+    # hi - lo > tol, cross-multiplied
+    while (a_hi - a_lo) * tol.denominator > tol.numerator << k:
+        k, a_lo, a_hi = k + 1, 2 * a_lo, 2 * a_hi
+        mid = (a_lo + a_hi) >> 1
+        v = _sign_at(f, mid, k)
+        if v == 0:
+            return BetaSpec(alpha, RatInterval.point(Fraction(mid, 1 << k)))
+        if v > 0:
+            a_lo = mid
         else:
-            hi = mid
-    return BetaSpec(alpha, RatInterval(lo, hi))
+            a_hi = mid
+    return BetaSpec(alpha, RatInterval(Fraction(a_lo, 1 << k), Fraction(a_hi, 1 << k)))
 
 
 def alpha_from_beta(beta: Union[Fraction, int, str], n: int) -> str:
@@ -100,14 +141,15 @@ def alpha_from_beta(beta: Union[Fraction, int, str], n: int) -> str:
         else:
             digits.append("0")
             x = y
-        assert 0 < x <= 1
+        if not 0 < x <= 1:
+            raise InvariantError("quasi-greedy orbit left (0, 1]: %s" % (x,))
     return "".join(digits)
 
 
-def alpha_from_beta_interval(beta: RatInterval, n: int, max_refine: int = 10) -> str:
+def alpha_from_beta_interval(beta: RatInterval, n: int) -> str:
     """Interval version; raises UndecidableDigit when the enclosure
-    straddles a branch point and cannot be refined further."""
-    del max_refine  # an externally supplied enclosure cannot be re-tightened
+    straddles a branch point (an externally supplied enclosure cannot be
+    re-tightened)."""
     lo = hi = Fraction(1)
     digits = []
     for i in range(n):

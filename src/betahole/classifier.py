@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .base_solver import BetaSpec, TPoint, beta_from_alpha, t_point_value
-from .errors import DepthExceeded, PreconditionError
+from .errors import DepthExceeded, InvariantError, PreconditionError
 from .seq_core import (
     EPSeq,
     ONE,
@@ -165,12 +165,8 @@ def classify(alpha: EPSeq, max_depth: int = 64) -> ClassRecord:
     else:
         return ClassRecord(chain, Position.DEPTH_LIMITED, alpha)
     # eventually periodic alpha can never sit in the exceptional sets
-    assert record.position in (
-        Position.LEFT,
-        Position.STAR,
-        Position.RIGHT,
-        Position.INTERIOR,
-    )
+    if record.position not in (Position.LEFT, Position.STAR, Position.RIGHT, Position.INTERIOR):
+        raise InvariantError("classify ended at position %s" % (record.position,))
     return record
 
 

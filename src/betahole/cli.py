@@ -10,7 +10,9 @@ undecidable input, 4 depth-limited.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -49,7 +51,7 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_beta(args) -> int:
-    spec = base_solver.beta_from_alpha(_alpha_arg(args.alpha))
+    spec = base_solver.beta_from_alpha(_alpha_arg(args.alpha), args.tol)
     _emit({"alpha": str(spec.alpha), "beta": _enclosure(spec.enclosure, 31)})
     return 0
 
@@ -60,7 +62,7 @@ def cmd_classify(args) -> int:
     if record.position is classifier.Position.DEPTH_LIMITED:
         _emit({"alpha": str(alpha), "position": record.position.value, "chain": list(record.chain)})
         return 4
-    spec = base_solver.beta_from_alpha(alpha)
+    spec = base_solver.beta_from_alpha(alpha, args.tol)
     t = classifier.tau(record, spec)
     _emit(
         {
@@ -77,14 +79,15 @@ def cmd_classify(args) -> int:
 def cmd_tau(args) -> int:
     alpha = _alpha_arg(args.alpha)
     record = classifier.classify(alpha)
-    t = classifier.tau(record)
+    t = classifier.tau(record, base_solver.beta_from_alpha(alpha, args.tol))
     _emit({"alpha": str(alpha), "seq": str(t.greedy), **_enclosure(t.value)})
     return 0
 
 
 def cmd_plateaus(args) -> int:
     alpha = _alpha_arg(args.alpha)
-    report = lyndon_intervals.plateaus(alpha, max_word_len=args.max_len)
+    spec = base_solver.beta_from_alpha(alpha, args.tol)
+    report = lyndon_intervals.plateaus(alpha, max_word_len=args.max_len, beta=spec)
     rows = []
     for p in report.plateaus:
         if p.kind == "terminal":
@@ -159,7 +162,7 @@ def cmd_transitive(args) -> int:
 def cmd_entropy(args) -> int:
     alpha = _alpha_arg(args.alpha)
     lower = _alpha_arg(args.lower)
-    spec = base_solver.beta_from_alpha(alpha)
+    spec = base_solver.beta_from_alpha(alpha, args.tol)
     aut = survivor_shift.build_automaton(lower, alpha)
     res = survivor_shift.entropy(aut)
     dim = survivor_shift.dimension(res, spec.enclosure)
@@ -180,7 +183,7 @@ def cmd_entropy(args) -> int:
 
 def cmd_staircase(args) -> int:
     alpha = _alpha_arg(args.alpha)
-    spec = base_solver.beta_from_alpha(alpha)
+    spec = base_solver.beta_from_alpha(alpha, args.tol)
     record = classifier.classify(alpha)
     tau_greedy = classifier.tau_greedy_seq(record)
     from .seq_core import seq_lt
@@ -317,33 +320,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_precision_env() -> bool:
-    """Apply BETAHOLE_PRECISION (enclosure precision in bits); False when
-    it is set but not a positive integer."""
-    import os
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every run in this process, built on the first run
+    rather than at import."""
+    return build_parser()
 
+
+def _precision_tol():
+    """The enclosure tolerance for beta: 2^-BETAHOLE_PRECISION when that
+    is set, else the library default.  None when it is set but not a
+    positive integer."""
     bits = os.environ.get("BETAHOLE_PRECISION")
     if not bits:
-        return True
+        return base_solver.DEFAULT_TOL
     try:
         value = int(bits)
     except ValueError:
         value = 0
     if value < 1:
         print("error: BETAHOLE_PRECISION must be a positive integer (bits): %r" % (bits,), file=sys.stderr)
-        return False
-    base_solver.DEFAULT_TOL = Fraction(1, 2**value)
-    return True
+        return None
+    return Fraction(1, 2**value)
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    if not _apply_precision_env():
+    parser = _parser()
+    tol = _precision_tol()
+    if tol is None:
         return 2
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    args.tol = tol
     try:
         return args.func(args)
     except DepthExceeded as exc:

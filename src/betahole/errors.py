@@ -17,6 +17,12 @@ class DepthExceeded(BetaholeError):
     """A depth-limited search ran out of budget before reaching a verdict."""
 
 
+class InvariantError(BetaholeError):
+    """An internal invariant failed; this is a bug, not bad input.
+
+    Raised explicitly, so the check also runs under ``python -O``."""
+
+
 class InadmissibleAlpha(PreconditionError):
     """The given sequence is not a valid quasi-greedy expansion of 1."""
 

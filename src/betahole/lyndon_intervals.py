@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .base_solver import beta_from_alpha, check_admissible_alpha
+from .base_solver import BetaSpec, beta_from_alpha, check_admissible_alpha
 from .classifier import Position, classify, tau
-from .errors import NoCandidate, PreconditionError
+from .errors import InvariantError, NoCandidate, PreconditionError
 from .seq_core import (
     EPSeq,
     RatInterval,
@@ -123,7 +123,8 @@ def ebli(w: str, alpha: EPSeq) -> Ebli:
         return Ebli(w, word_zeros(w), target, None, True)
     head = alpha.prefix(m)
     # the first tail at or below w^inf always follows a digit 1 of alpha
-    assert head.endswith("1")
+    if not head.endswith("1"):
+        raise InvariantError("tail %d of %s does not follow a digit 1" % (m, alpha))
     return Ebli(w, eps(minus(w), minus(head)), target, m, False)
 
 
@@ -188,7 +189,12 @@ class PlateauReport:
     unresolved: Tuple[Tuple[EPSeq, EPSeq], ...]
 
 
-def plateaus(alpha: EPSeq, max_word_len: int = 12, with_entropy: bool = True) -> PlateauReport:
+def plateaus(
+    alpha: EPSeq,
+    max_word_len: int = 12,
+    with_entropy: bool = True,
+    beta: Optional[BetaSpec] = None,
+) -> PlateauReport:
     """Entropy plateaus up to the word-length cutoff.
 
     Enumerates beta-Lyndon words w with |w| <= max_word_len whose EBLI
@@ -196,9 +202,12 @@ def plateaus(alpha: EPSeq, max_word_len: int = 12, with_entropy: bool = True) ->
     appends the terminal plateau [tau(beta), 1) of entropy zero.  The
     enumeration is cutoff-limited, so the report carries an explicit
     completeness flag and the uncovered gaps inside [0, tau(beta)].
+    ``beta`` is the enclosure of the base to use; by default it is
+    computed from alpha.
     """
     record = classify(alpha)
-    beta = beta_from_alpha(alpha)
+    if beta is None:
+        beta = beta_from_alpha(alpha)
     tau_point = tau(record, beta)
     candidates: List[Ebli] = []
     for w in lyndon_words(max_word_len, min_len=2):

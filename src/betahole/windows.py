@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .classifier import ClassRecord, Position, classify, tau_greedy_seq
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 from .lyndon_intervals import is_beta_lyndon, v_star
 from .seq_core import (
     EPSeq,
@@ -102,7 +102,8 @@ def build_windows(alpha: EPSeq, chain=None, max_windows: int = 4096) -> WindowSe
             return WindowSet(tuple(records), None)
         if tail in seen:
             prev = records[seen[tail]]
-            assert _next_v(A, j) == prev.v, "cycle with non-constant v words"
+            if _next_v(A, j) != prev.v:
+                raise InvariantError("cycle with non-constant v words")
             return WindowSet(tuple(records), prev.k)
         seen[tail] = k
         v = _next_v(A, j)
@@ -110,9 +111,11 @@ def build_windows(alpha: EPSeq, chain=None, max_windows: int = 4096) -> WindowSe
             return WindowSet(tuple(records), None)
         k += 1
         n = len(v)
-        assert is_lyndon(v), "window word %r is not Lyndon" % (v,)
+        if not is_lyndon(v):
+            raise InvariantError("window word %r is not Lyndon" % (v,))
         head = A.prefix(j)
-        assert head.endswith("1")
+        if not head.endswith("1"):
+            raise InvariantError("window head %r does not end in 1" % (head,))
         star = v if is_beta_lyndon(v, alpha) else v_star(v, alpha)
         closed = star == v and shift(A, j) == periodic(v)
         records.append(

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betahole.base_solver import (
     BetaSpec,
@@ -15,7 +17,8 @@ from betahole.base_solver import (
     periodic_alpha_to_greedy_one,
 )
 from betahole.errors import InadmissibleAlpha, PreconditionError, UndecidableDigit
-from betahole.seq_core import EPSeq, RatInterval, eps, periodic, pi_beta_at, word_zeros
+from betahole.seq_core import ONE, EPSeq, RatInterval, eps, periodic, pi_beta_at, word_zeros
+from betahole.word_combinatorics import cyclic_max
 
 
 def bisect_poly_root(coeffs, lo: Fraction, hi: Fraction, tol: Fraction) -> Fraction:
@@ -96,6 +99,11 @@ class TestBetaFromAlpha:
         with pytest.raises(InadmissibleAlpha):
             beta_from_alpha(word_zeros("11"))
 
+    def test_rejects_nonpositive_tol(self):
+        # a zero width is unreachable for an irrational beta: the bisection would not stop
+        with pytest.raises(PreconditionError):
+            beta_from_alpha(periodic("110"), 0)
+
     def test_defining_property(self):
         for text in ["(10)", "(110)", "111010(110)", "11(01)", "(1110101100)"]:
             alpha = EPSeq.parse(text)
@@ -109,6 +117,64 @@ class TestBetaFromAlpha:
             a = beta_from_alpha(EPSeq.parse(a_text)).enclosure
             b = beta_from_alpha(EPSeq.parse(b_text)).enclosure
             assert a.hi < b.lo or a.lo > b.hi
+
+
+def fraction_bisection(alpha: EPSeq, tol: Fraction) -> RatInterval:
+    """Oracle: the earlier production bisection, with pi_beta evaluated
+    in Fractions at every midpoint."""
+    if alpha == ONE:
+        return RatInterval.point(Fraction(2))
+    hi = Fraction(2)
+    lo = Fraction(3, 2)
+    while pi_beta_at(alpha, lo) <= 1:
+        lo = 1 + (lo - 1) / 2
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        v = pi_beta_at(alpha, mid)
+        if v == 1:
+            return RatInterval.point(mid)
+        if v > 1:
+            lo = mid
+        else:
+            hi = mid
+    return RatInterval(lo, hi)
+
+
+TOLS = [Fraction(1, 2**8), Fraction(1, 10**30), Fraction(1, 10**60)]
+
+
+@st.composite
+def admissible_alphas(draw):
+    """pre(per) with |pre| <= 6 and |per| <= 60: per is a largest rotation,
+    and leading digits of pre are dropped until the sequence is admissible
+    (the empty preperiod always is)."""
+    n = draw(st.integers(1, 60))
+    per = cyclic_max(draw(st.text("01", min_size=n, max_size=n).filter(lambda w: "1" in w)))
+    pre = draw(st.text("01", max_size=6))
+    return next(x for x in (eps(pre[i:], per) for i in range(len(pre) + 1)) if is_admissible_alpha(x))
+
+
+class TestBisectionProperty:
+    def check(self, alpha, tol):
+        enclosure = beta_from_alpha(alpha, tol).enclosure
+        assert enclosure == fraction_bisection(alpha, tol)
+        assert pi_beta_at(alpha, enclosure.lo) >= 1 >= pi_beta_at(alpha, enclosure.hi)
+        assert enclosure.width() <= tol
+
+    @settings(max_examples=40, deadline=None)
+    @given(admissible_alphas(), st.sampled_from(TOLS))
+    def test_matches_fraction_bisection(self, alpha, tol):
+        self.check(alpha, tol)
+
+    @pytest.mark.parametrize("tol", TOLS, ids=["2^-8", "1e-30", "1e-60"])
+    @pytest.mark.parametrize(
+        "alpha",
+        [eps("11", "1" + "0" * 149), periodic("1110" + "10" * 98)],
+        ids=["period-150", "period-200"],
+    )
+    def test_long_periods(self, alpha, tol):
+        assert is_admissible_alpha(alpha)
+        self.check(alpha, tol)
 
 
 def random_admissible_alpha(rng, max_period=8) -> EPSeq:

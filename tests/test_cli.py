@@ -135,3 +135,39 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1 and "BETAHOLE_PRECISION" in proc.stderr
+
+
+# (argv, BETAHOLE_PRECISION or None): every subcommand, a usage error in
+# between, and one run at 8 bits followed by runs that must not see it
+IN_PROCESS_CALLS = [
+    (("alpha", "--beta", "9/5", "--digits", "20"), None),
+    (("beta", "--alpha", "(110)"), None),
+    (("classify",), None),
+    (("classify", "--alpha", "111010(110)"), None),
+    (("beta", "--alpha", "(110)"), "8"),
+    (("beta", "--alpha", "(110)"), None),
+    (("classify", "--alpha", "111010(110)"), None),
+    (("tau", "--alpha", "(110)"), None),
+    (("plateaus", "--alpha", "(110)", "--max-len", "5"), None),
+    (("windows", "--alpha", "(1110101100)"), None),
+    (("transitive", "--alpha", "(1110101100)", "--word", "01011"), None),
+    (("entropy", "--alpha", "(1)", "--lower", "(01)"), None),
+    (("staircase", "--alpha", "(110)", "--points", "5"), None),
+    (("bifdiff", "--chain", "01,001", "--which", "l"), None),
+    (("gap", "--alpha", "1110100110111(001)", "--m", "3"), None),
+]
+
+
+class TestInProcess:
+    def test_runs_in_one_process_match_fresh_processes(self, capsys, monkeypatch):
+        from betahole import cli
+
+        for argv, precision in IN_PROCESS_CALLS:
+            if precision is None:
+                monkeypatch.delenv("BETAHOLE_PRECISION", raising=False)
+            else:
+                monkeypatch.setenv("BETAHOLE_PRECISION", precision)
+            code = cli.run(list(argv))
+            out = capsys.readouterr().out
+            proc = run_cli(*argv)  # inherits the environment set above
+            assert (code, out) == (proc.returncode, proc.stdout), (argv, precision)
