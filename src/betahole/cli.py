@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import base_solver, classifier, lyndon_intervals, survivor_shift, windows
-from .errors import BetaholeError, DepthExceeded
+from .errors import BetaholeError, DepthExceeded, PreconditionError
 from .seq_core import EPSeq, RatInterval, format_interval, periodic, seq_key
 
 SCHEMA = "betahole/1"
@@ -120,7 +120,7 @@ def cmd_plateaus(args) -> int:
 def cmd_windows(args) -> int:
     alpha = _alpha_arg(args.alpha)
     ws = windows.build_windows(alpha)
-    maximal = windows.maximal_windows(ws, alpha)
+    maximal = windows.maximal_windows(ws)
     maximal_ks = {rec.k for rec in maximal}
     rows = [
         {
@@ -153,7 +153,7 @@ def cmd_transitive(args) -> int:
     try:
         core = windows.transitive_core(args.word, alpha, record)
         payload["core"] = {"R": core.R, "what": core.w_hat, "alphahat": str(core.alpha_hat)}
-    except BetaholeError:
+    except PreconditionError:
         payload["core"] = None  # inside a window: no full-entropy core exists
     _emit(payload)
     return 0
@@ -189,17 +189,18 @@ def cmd_staircase(args) -> int:
     from .seq_core import seq_lt
     from .word_combinatorics import lyndon_words
 
+    # words of each length are scanned once, shortest first, until
+    # enough points lie below tau
     samples = []
-    max_len = 2
-    while len(samples) < args.points and max_len <= 20:
-        samples = []
-        for w in lyndon_words(max_len, min_len=2):
+    for n in range(2, 21):
+        if len(samples) >= args.points:
+            break
+        for w in lyndon_words(n, min_len=n):
             if not lyndon_intervals.is_beta_lyndon(w, alpha):
                 continue
             t_r = periodic(w)
             if seq_lt(t_r, tau_greedy):
                 samples.append(t_r)
-        max_len += 1
     samples.sort(key=seq_key)
     samples = samples[: args.points]
     lines = ["t_lo,t_hi,dim_lo,dim_hi,seq"]

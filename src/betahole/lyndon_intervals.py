@@ -49,10 +49,7 @@ def v_star(v: str, alpha: EPSeq) -> str:
 
     If v is beta-Lyndon this is v itself.  Otherwise no extension of v
     is beta-Lyndon, and the completion is a modified prefix u^+ of v, so
-    an exhaustive search over Lyndon words of length <= |v| is total and
-    authoritative.  A structural shortcut (strip the trailing copy of a
-    prefix of alpha and flip the last kept digit) is cross-checked when
-    it applies; a disagreement would indicate a bug and raises.
+    the search over Lyndon words of length <= |v| is total.
     """
     if not is_lyndon(v):
         raise PreconditionError("v_star needs a Lyndon word: %r" % (v,))
@@ -69,33 +66,7 @@ def v_star(v: str, alpha: EPSeq) -> str:
             best = w
     if best is None:
         raise NoCandidate("no beta-Lyndon word >= %r for this base" % (v,))
-    formula = _v_star_formula(v, alpha)
-    if formula is not None and formula != best:
-        import warnings
-
-        warnings.warn(
-            "v* structural shortcut gave %r, exhaustive search gave %r; "
-            "the exhaustive result is authoritative" % (formula, best)
-        )
     return best
-
-
-def _v_star_formula(v: str, alpha: EPSeq) -> Optional[str]:
-    # v = u (a_1..a_j^-)^r a_1..a_j with u not ending in a_1..a_j^-  ->  u^+
-    for j in range(len(v) - 1, 0, -1):
-        if v[-j:] != alpha.prefix(j):
-            continue
-        block = minus(alpha.prefix(j)) if alpha.prefix(j).endswith("1") else None
-        u = v[:-j]
-        if block:
-            while u.endswith(block):
-                u = u[: -len(block)]
-        if u and u.endswith("0"):
-            cand = u[:-1] + "1"
-            if is_lyndon(cand) and is_beta_lyndon(cand, alpha):
-                return cand
-        return None
-    return None
 
 
 @dataclass(frozen=True)
@@ -204,6 +175,12 @@ def plateaus(
     completeness flag and the uncovered gaps inside [0, tau(beta)].
     ``beta`` is the enclosure of the base to use; by default it is
     computed from alpha.
+
+    EBLIs are nested or disjoint.  One sweep in order of (left end
+    ascending, right end descending) keeps a stack of open, nested
+    EBLIs: those ending at or before the next left end are closed, an
+    EBLI is maximal when none stays open, and an open one ending before
+    the next right end is a crossing, which raises InvariantError.
     """
     record = classify(alpha)
     if beta is None:
@@ -216,16 +193,18 @@ def plateaus(
         e = ebli(w, alpha)
         if seq_le(e.left_seq, tau_point.greedy):
             candidates.append(e)
-    for i, a in enumerate(candidates):
-        for b in candidates[i + 1 :]:
-            if not nesting_or_disjoint(a, b):
-                raise AssertionError("EBLIs of %r and %r overlap without nesting" % (a.w, b.w))
-    maximal = [
-        e
-        for e in candidates
-        if not any(o is not e and _contains(o, e) for o in candidates)
-    ]
-    maximal.sort(key=lambda e: seq_key(e.right_seq))
+    candidates.sort(key=lambda e: seq_key(e.right_seq), reverse=True)
+    candidates.sort(key=lambda e: seq_key(e.left_seq))
+    maximal: List[Ebli] = []
+    stack: List[Ebli] = []
+    for e in candidates:
+        while stack and seq_le(stack[-1].right_seq, e.left_seq):
+            stack.pop()
+        if not stack:
+            maximal.append(e)
+        elif seq_lt(stack[-1].right_seq, e.right_seq):
+            raise InvariantError("EBLIs of %r and %r overlap without nesting" % (stack[-1].w, e.w))
+        stack.append(e)
     out: List[Plateau] = []
     if with_entropy:
         from .survivor_shift import entropy_of_bounds

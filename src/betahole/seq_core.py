@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 
 
 def check_word(w: str, allow_empty: bool = True) -> str:
@@ -151,7 +151,7 @@ def lex_cmp(x: EPSeq, y: EPSeq) -> Ordering:
         dx, dy = x.digit(i), y.digit(i)
         if dx != dy:
             return Ordering.LESS if dx < dy else Ordering.GREATER
-    raise AssertionError("distinct canonical EPSeqs agree beyond the decision bound")
+    raise InvariantError("distinct canonical EPSeqs agree beyond the decision bound")
 
 
 # sort key for the exact lexicographic order of EPSeq values
@@ -164,10 +164,6 @@ def seq_lt(x: EPSeq, y: EPSeq) -> bool:
 
 def seq_le(x: EPSeq, y: EPSeq) -> bool:
     return lex_cmp(x, y) is not Ordering.GREATER
-
-
-def seq_gt(x: EPSeq, y: EPSeq) -> bool:
-    return lex_cmp(x, y) is Ordering.GREATER
 
 
 def seq_ge(x: EPSeq, y: EPSeq) -> bool:

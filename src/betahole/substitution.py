@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .errors import NotInLambda, NotInRange, PreconditionError
+from .errors import InvariantError, NotInLambda, NotInRange, PreconditionError
 from .seq_core import EPSeq, check_word, minus, periodic, plus
 from .word_combinatorics import cyclic_max, farey_words_of_length, is_farey, is_lyndon
 
@@ -223,7 +223,7 @@ def lambda_decompose(word: str):
     |word| and is at most |word| / 2; Phi_{s1}(r) always begins with
     s1^-, which prunes most candidates before attempting a parse.  The
     chain is unique; if two distinct chains validate, that is a genuine
-    inconsistency and an AssertionError is raised.
+    inconsistency and an InvariantError is raised.
     """
     if not is_lyndon(word):
         raise NotInLambda("%r is not Lyndon" % (word,))
@@ -249,7 +249,7 @@ def lambda_decompose(word: str):
     if not found:
         raise NotInLambda("%r admits no Farey substitution chain" % (word,))
     if len(found) > 1:
-        raise AssertionError("ambiguous Lambda chains for %r: %r" % (word, found))
+        raise InvariantError("ambiguous Lambda chains for %r: %r" % (word, found))
     return found[0]
 
 

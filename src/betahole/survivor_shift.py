@@ -22,7 +22,7 @@ min_i (Au)_i/u_i <= lambda <= max_i (Au)_i/u_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Dict, List, Optional, Tuple
@@ -46,7 +46,7 @@ def _fold(i: int, pre: int, per: int) -> int:
 class ShiftAutomaton:
     """Deterministic (right-resolving) presentation of Sigma_{lower,upper}.
 
-    states are opaque keys; edges[i][digit] = target index.  After
+    states are indices; edges[i][digit] = target index.  After
     construction the automaton is out-trimmed: every surviving state has
     an infinite outgoing path, so paths from ``start`` of length n count
     exactly the words of length n occurring in the subshift.
@@ -56,8 +56,6 @@ class ShiftAutomaton:
     upper: EPSeq
     edges: List[Dict[str, int]]
     start: Optional[int]
-    trimmed: bool = True
-    state_keys: list = field(default_factory=list, repr=False)
 
     @property
     def n_states(self) -> int:
@@ -122,7 +120,6 @@ def build_automaton(lower: EPSeq, upper: EPSeq) -> ShiftAutomaton:
 
     start_key = (frozenset(), frozenset())
     index = {start_key: 0}
-    keys = [start_key]
     edges: List[Dict[str, int]] = [{}]
     todo = [start_key]
     while todo:
@@ -133,14 +130,13 @@ def build_automaton(lower: EPSeq, upper: EPSeq) -> ShiftAutomaton:
             if nxt is None:
                 continue
             if nxt not in index:
-                index[nxt] = len(keys)
-                keys.append(nxt)
+                index[nxt] = len(edges)
                 edges.append({})
                 todo.append(nxt)
             edges[i][d] = index[nxt]
 
     # out-trim: keep only states with an infinite outgoing path
-    alive = set(range(len(keys)))
+    alive = set(range(len(edges)))
     changed = True
     while changed:
         changed = False
@@ -149,15 +145,14 @@ def build_automaton(lower: EPSeq, upper: EPSeq) -> ShiftAutomaton:
                 alive.discard(i)
                 changed = True
     if 0 not in alive:
-        return ShiftAutomaton(lower, upper, [], None, True, [])
+        return ShiftAutomaton(lower, upper, [], None)
     remap = {old: new for new, old in enumerate(sorted(alive))}
     new_edges: List[Dict[str, int]] = [{} for _ in remap]
     for old, new in remap.items():
         for d, j in edges[old].items():
             if j in remap:
                 new_edges[new][d] = remap[j]
-    new_keys = [keys[old] for old in sorted(alive)]
-    return ShiftAutomaton(lower, upper, new_edges, remap[0], True, new_keys)
+    return ShiftAutomaton(lower, upper, new_edges, remap[0])
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +245,7 @@ def minimize(aut: ShiftAutomaton) -> ShiftAutomaton:
     for i in range(n):
         for d, j in aut.edges[i].items():
             edges[block[i]][d] = block[j]
-    return ShiftAutomaton(aut.lower, aut.upper, edges, block[aut.start], True, [])
+    return ShiftAutomaton(aut.lower, aut.upper, edges, block[aut.start])
 
 
 def essential_states(edges: List[Dict[str, int]]) -> set:
@@ -281,8 +276,7 @@ def essential_part(aut: ShiftAutomaton) -> ShiftAutomaton:
             if j in remap:
                 edges[new][d] = remap[j]
     start = remap.get(aut.start)
-    keys = [aut.state_keys[old] for old in sorted(keep)] if aut.state_keys else []
-    return ShiftAutomaton(aut.lower, aut.upper, edges, start, True, keys)
+    return ShiftAutomaton(aut.lower, aut.upper, edges, start)
 
 
 # ---------------------------------------------------------------------------

@@ -81,18 +81,21 @@ def _scan_sequence(alpha: EPSeq) -> EPSeq:
     return alpha
 
 
-def build_windows(alpha: EPSeq, chain=None, max_windows: int = 4096) -> WindowSet:
-    """The full window list for beta in the interior of a basic interval."""
-    record = classify(alpha)
+def build_windows(
+    alpha: EPSeq, record: Optional[ClassRecord] = None, max_windows: int = 4096
+) -> WindowSet:
+    """The full window list for beta in the interior of a basic interval.
+
+    ``record`` is the classification of alpha; by default it is computed.
+    """
+    if record is None:
+        record = classify(alpha)
     if record.position is not Position.INTERIOR:
         raise PreconditionError(
             "windows are defined for the interior of a basic interval; got %s" % record.position
         )
-    word = compose_chain(chain) if chain else record.composed
-    if word != record.composed:
-        raise PreconditionError("chain %r does not classify alpha" % (chain,))
     A = _scan_sequence(alpha)
-    j = len(word)
+    j = len(record.composed)
     records: List[WindowRecord] = []
     seen = {}
     k = 0
@@ -156,44 +159,22 @@ def window_contained(outer: WindowRecord, inner: WindowRecord) -> bool:
     return False
 
 
-def _word_route_contained(outer: WindowRecord, inner: WindowRecord, A: EPSeq) -> bool:
-    # inner.v == outer.v, or inner.v begins with
-    # outer.v^- (a_1..a_{j_k}^-)^n a_1..a_{j_k} for some n >= 0
-    if inner.v == outer.v:
-        return True
-    head = A.prefix(outer.jk)
-    block = minus(head)
-    pattern = minus(outer.v)
-    while len(pattern) + len(head) <= len(inner.v):
-        if inner.v.startswith(pattern + head):
-            return True
-        pattern += block
-    return False
+def maximal_windows(ws: WindowSet) -> List[WindowRecord]:
+    """The inclusion-maximal windows, by the endpoint test
+    ``window_contained``.
 
-
-def maximal_windows(ws: WindowSet, alpha: EPSeq) -> List[WindowRecord]:
-    """The inclusion-maximal windows.
-
-    Both containment tests (endpoint comparison and the word-pattern
-    criterion) are evaluated and must agree; later windows never contain
-    earlier ones, so maximality is containment in no earlier window.
+    A later window is nested in an earlier one or lies to its left, and
+    never contains it, so maximality is containment in no earlier window.
     """
-    A = _scan_sequence(alpha)
     recs = list(ws.records)
     out = []
     for b_idx, b in enumerate(recs):
         contained = False
         for a in recs[:b_idx]:
-            by_endpoints = window_contained(a, b)
-            by_words = _word_route_contained(a, b, A)
-            if by_endpoints != by_words:
-                raise AssertionError(
-                    "containment routes disagree for windows %d, %d" % (a.k, b.k)
-                )
-            if by_endpoints:
+            if window_contained(a, b):
                 contained = True
             elif not seq_le(b.upper_seq, a.lower_seq):
-                raise AssertionError(
+                raise InvariantError(
                     "windows %d, %d neither nested nor left-separated" % (a.k, b.k)
                 )
         if not contained:
@@ -250,7 +231,7 @@ def is_transitive(w: str, alpha: EPSeq, record: Optional[ClassRecord] = None) ->
     if pos is Position.INTERIOR:
         if depth >= 2 and not seq_lt(t_r, _r1_threshold(record.chain)):
             return TransitivityVerdict(Verdict.NOT_TRANSITIVE, "at or above the renormalization threshold")
-        ws = build_windows(alpha)
+        ws = build_windows(alpha, record)
         for rec in ws.records:
             if rec.contains_value(t_r):
                 return TransitivityVerdict(Verdict.NOT_TRANSITIVE, "inside non-transitivity window %d" % rec.k)
@@ -279,7 +260,7 @@ def transitive_core(w: str, alpha: EPSeq, record: Optional[ClassRecord] = None) 
         raise PreconditionError("%r is not beta-Lyndon here" % (w,))
     t_r = periodic(w)
     chain = record.chain
-    if record.position is Position.INTERIOR and build_windows(alpha).covers(t_r):
+    if record.position is Position.INTERIOR and build_windows(alpha, record).covers(t_r):
         raise PreconditionError("t_R lies in a non-transitivity window; no full-entropy core")
     if not chain:
         return TransitiveCore("", w, alpha)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 from .seq_core import check_word
 
 
@@ -198,8 +198,8 @@ def standard_factorization(s: str):
     for i in range(1, len(s)):
         if is_farey(s[:i]) and is_farey(s[i:]):
             if found is not None:
-                raise AssertionError("standard factorization not unique for %r" % (s,))
+                raise InvariantError("standard factorization not unique for %r" % (s,))
             found = (s[:i], s[i:])
     if found is None:
-        raise AssertionError("no standard factorization for Farey word %r" % (s,))
+        raise InvariantError("no standard factorization for Farey word %r" % (s,))
     return found

@@ -98,8 +98,8 @@ def test_criterion_01_golden_windows():
         assert ws.tail_nested_at == nest, name
         assert time.time() - t0 < 1.0, name
     # maximal-window structure stated alongside the examples
-    assert [r.k for r in maximal_windows(build_windows(canon("1110100110111(001)")), canon("1110100110111(001)"))] == [1, 3]
-    assert [r.k for r in maximal_windows(build_windows(canon("11100111(001)")), canon("11100111(001)"))] == [1, 2]
+    assert [r.k for r in maximal_windows(build_windows(canon("1110100110111(001)")))] == [1, 3]
+    assert [r.k for r in maximal_windows(build_windows(canon("11100111(001)")))] == [1, 2]
     report(1, "golden window construction, Example cases (a)(c)(e)(f)")
 
 
@@ -314,7 +314,7 @@ def test_criterion_10_ebli_invariants():
         from betahole.classifier import Position
 
         if record.position is Position.INTERIOR:
-            for rec in maximal_windows(build_windows(alpha), alpha):
+            for rec in maximal_windows(build_windows(alpha)):
                 closure = ebli(rec.v_star, alpha)
                 assert closure.left_seq == rec.lower_seq
                 assert closure.right_seq == rec.upper_seq

@@ -6,11 +6,13 @@ classifier's endpoints must recheck."""
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from betahole.base_solver import is_admissible_alpha, is_greedy_admissible
 from betahole.classifier import Position, classify, tau_greedy_seq
 from betahole.lyndon_intervals import is_beta_lyndon
-from betahole.seq_core import eps, periodic, seq_lt
+from betahole.seq_core import EPSeq, eps, minus, periodic, seq_lt
 from betahole.substitution import phi
 from betahole.survivor_shift import build_automaton, entropy_of_bounds, is_transitive_sofic
 from betahole.windows import is_transitive, transitive_core
@@ -34,17 +36,81 @@ def random_alphas(seed, count):
     return out
 
 
-@pytest.mark.parametrize("alpha", random_alphas(555, 30), ids=str)
+def _word_route_contained(outer, inner, A):
+    """Oracle for window containment by words: inner.v == outer.v, or
+    inner.v begins with outer.v^- (a_1..a_{j_k}^-)^n a_1..a_{j_k} for
+    some n >= 0, where a_1 a_2 ... are the digits of the scanned
+    sequence A and j_k = outer.jk."""
+    if inner.v == outer.v:
+        return True
+    head = A.prefix(outer.jk)
+    block = minus(head)
+    pattern = minus(outer.v)
+    while len(pattern) + len(head) <= len(inner.v):
+        if inner.v.startswith(pattern + head):
+            return True
+        pattern += block
+    return False
+
+
+# the alphas of the window fixtures in test_windows.py
+WINDOW_FIXTURES = [
+    EPSeq.parse(text)
+    for text in [
+        "1110100110111(001)",
+        "111001(01)",
+        "11100111(001)",
+        "(1110101100)",
+        "1110100101(01)",
+        "11101001000100001(000001)",
+        "110100000(10)",
+        "11(01)",
+        "11010011000000000(10)",
+    ]
+]
+
+
+def _assert_containment_routes_agree(ws, alpha):
+    # the endpoint-order containment test that maximal_windows uses
+    # agrees with the word-pattern oracle on every (earlier, later) pair
+    from betahole.windows import _scan_sequence, window_contained
+
+    A = _scan_sequence(alpha)
+    recs = ws.records
+    for i, a in enumerate(recs):
+        for b in recs[i + 1 :]:
+            assert window_contained(a, b) == _word_route_contained(a, b, A), (str(alpha), a.k, b.k)
+
+
+@pytest.mark.parametrize("alpha", random_alphas(555, 30) + WINDOW_FIXTURES, ids=str)
 def test_window_containment_routes_agree_sweep(alpha):
-    # maximal_windows cross-asserts the endpoint-order containment test
-    # against the word-pattern one and raises on any disagreement
     from betahole.windows import build_windows, maximal_windows
 
     record = classify(alpha)
     if record.position is not Position.INTERIOR:
         return
     ws = build_windows(alpha)
-    maximal_windows(ws, alpha)
+    _assert_containment_routes_agree(ws, alpha)
+    maximal_windows(ws)
+
+
+@st.composite
+def interior_alphas(draw):
+    """111 pre (per) with |pre| <= 12 and |per| <= 6, admissible and in
+    the interior of a basic interval (where windows exist)."""
+    pre = draw(st.text("01", min_size=4, max_size=12))
+    per = draw(st.text("01", min_size=1, max_size=6))
+    alpha = eps("111" + pre, per)
+    assume(is_admissible_alpha(alpha) and classify(alpha).position is Position.INTERIOR)
+    return alpha
+
+
+@settings(max_examples=150, deadline=None)
+@given(interior_alphas())
+def test_window_containment_routes_agree_property(alpha):
+    from betahole.windows import build_windows
+
+    _assert_containment_routes_agree(build_windows(alpha), alpha)
 
 
 @pytest.mark.parametrize("alpha", random_alphas(424242, 36), ids=str)

@@ -2,9 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from betahole.base_solver import beta_from_alpha
-from betahole.errors import NoCandidate, PreconditionError
+from betahole import lyndon_intervals
+from betahole.base_solver import beta_from_alpha, is_admissible_alpha
+from betahole.classifier import classify, tau
+from betahole.errors import InvariantError, NoCandidate, PreconditionError
 from betahole.lyndon_intervals import (
     Ebli,
     ebli,
@@ -19,9 +23,9 @@ from betahole.lyndon_intervals import (
     symbolic_plateau,
     v_star,
 )
-from betahole.seq_core import EPSeq, eps, periodic, pi_beta, seq_ge, seq_le, seq_lt, shift, word_zeros
+from betahole.seq_core import EPSeq, eps, periodic, pi_beta, seq_ge, seq_key, seq_le, seq_lt, shift, word_zeros
 from betahole.windows import build_windows, maximal_windows
-from betahole.word_combinatorics import is_lyndon, lyndon_words
+from betahole.word_combinatorics import cyclic_max, is_lyndon, lyndon_words
 
 A_STAR = EPSeq.parse("111010(110)")     # beta_*^{011}
 A_91 = EPSeq.parse("(1110101100)")
@@ -314,8 +318,73 @@ class TestPlateaus:
         # maximal window closures are EBLIs; EBLIs properly inside them are
         # exactly the non-maximal ones among the window-covered EBLIs
         alpha = A_91
-        mws = maximal_windows(build_windows(alpha), alpha)
+        mws = maximal_windows(build_windows(alpha))
         covered = ebli("01010111", alpha)
         assert not is_maximal_ebli(covered, mws)
         closure = ebli("01011", alpha)
         assert is_maximal_ebli(closure, mws)  # equal, not properly contained
+
+
+@st.composite
+def admissible_alphas(draw):
+    """pre(per) with |pre| <= 14 and |per| <= 10: per is a largest rotation,
+    pre often starts with 1110 (large bases, where EBLIs nest), and leading
+    digits of pre are dropped until the sequence is admissible."""
+    n = draw(st.integers(1, 10))
+    per = cyclic_max(draw(st.text("01", min_size=n, max_size=n).filter(lambda w: "1" in w)))
+    pre = draw(st.sampled_from(["", "1110"])) + draw(st.text("01", max_size=10))
+    return next(x for x in (eps(pre[i:], per) for i in range(len(pre) + 1)) if is_admissible_alpha(x))
+
+
+def _contains(outer, inner):
+    return seq_le(outer.left_seq, inner.left_seq) and seq_le(inner.right_seq, outer.right_seq)
+
+
+class TestPlateauSweep:
+    @settings(max_examples=80, deadline=None)
+    @given(admissible_alphas(), st.integers(0, 8))
+    def test_sweep_matches_pairwise_definition(self, alpha, max_len):
+        # the candidates are laminar, and the sweep keeps exactly those
+        # contained in no other candidate, in increasing order
+        tau_seq = tau(classify(alpha), beta_from_alpha(alpha)).greedy
+        candidates = [
+            ebli(w, alpha)
+            for w in lyndon_words(max_len, min_len=2)
+            if is_beta_lyndon(w, alpha)
+        ]
+        candidates = [e for e in candidates if seq_le(e.left_seq, tau_seq)]
+        for i, a in enumerate(candidates):
+            for b in candidates[i + 1 :]:
+                assert nesting_or_disjoint(a, b), (a.w, b.w)
+        expected = [
+            e for e in candidates if not any(o is not e and _contains(o, e) for o in candidates)
+        ]
+        expected.sort(key=lambda e: seq_key(e.right_seq))
+        rep = plateaus(alpha, max_len, with_entropy=False)
+        assert [p.ebli.w for p in rep.plateaus if p.kind == "ebli"] == [e.w for e in expected]
+        assert rep.plateaus[-1].kind == "terminal"
+
+    @staticmethod
+    def _fake_eblis(monkeypatch, ends):
+        """Replace the EBLIs of the three beta-Lyndon words of length <= 3
+        at A_STAR by [lo 0^inf, hi 0^inf]; all start below tau = 0(101)."""
+        words = [w for w in lyndon_words(3, min_len=2) if is_beta_lyndon(w, A_STAR)]
+        assert len(words) == len(ends) == 3
+        fake = {
+            w: Ebli(w, word_zeros(lo), word_zeros(hi), None, True) for w, (lo, hi) in zip(words, ends)
+        }
+        monkeypatch.setattr(lyndon_intervals, "ebli", lambda w, alpha: fake[w])
+        return words
+
+    def test_touching_and_shared_left_ends(self, monkeypatch):
+        # touching EBLIs are disjoint, and of two EBLIs with one left end
+        # the longer contains the shorter
+        words = self._fake_eblis(monkeypatch, [("0001", "001"), ("001", "01"), ("001", "0011")])
+        rep = plateaus(A_STAR, max_word_len=3, with_entropy=False)
+        assert [p.ebli.w for p in rep.plateaus if p.kind == "ebli"] == words[:2]
+
+    def test_crossing_pair_raises(self, monkeypatch):
+        # [0001 0^inf, 01 0^inf] and [001 0^inf, 011 0^inf] overlap without nesting
+        self._fake_eblis(monkeypatch, [("0001", "01"), ("001", "011"), ("00001", "0001")])
+        with pytest.raises(InvariantError, match="overlap without nesting"):
+            plateaus(A_STAR, max_word_len=3, with_entropy=False)

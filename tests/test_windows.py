@@ -46,7 +46,7 @@ class TestGoldenWindows:
         # all later windows nest inside I_3
         assert ws.tail_nested_at == 3
         assert [r.closed for r in ws.records] == [False, False, True]
-        assert [r.k for r in maximal_windows(ws, A_EX_A)] == [1, 3]
+        assert [r.k for r in maximal_windows(ws)] == [1, 3]
         assert time.time() - t0 < 1.0
 
     def test_case_c(self):
@@ -67,7 +67,7 @@ class TestGoldenWindows:
         ]
         assert [r.upper_seq for r in ws.records] == [canon("(01)"), canon("(001)")]
         assert ws.tail_nested_at == 2
-        assert [r.k for r in maximal_windows(ws, A_EX_E)] == [1, 2]
+        assert [r.k for r in maximal_windows(ws)] == [1, 2]
         assert time.time() - t0 < 1.0
 
     def test_case_f(self):
@@ -81,7 +81,7 @@ class TestGoldenWindows:
         ]
         assert [r.upper_seq for r in ws.records] == [canon("(01011)"), canon("(01)")]
         assert ws.tail_nested_at is None
-        assert [r.k for r in maximal_windows(ws, A_EX_F)] == [1, 2]
+        assert [r.k for r in maximal_windows(ws)] == [1, 2]
         assert time.time() - t0 < 1.0
 
     def test_case_b_single_window(self):
@@ -134,7 +134,7 @@ class TestWindowInvariants:
     def test_closures_are_eblis(self, alpha):
         # the closure of every maximal window is the EBLI of its v*
         ws = build_windows(alpha)
-        for rec in maximal_windows(ws, alpha):
+        for rec in maximal_windows(ws):
             e = ebli(rec.v_star, alpha)
             assert e.left_seq == rec.lower_seq
             assert e.right_seq == rec.upper_seq
@@ -146,7 +146,7 @@ class TestWindowInvariants:
 
     @pytest.mark.parametrize("alpha", [A_EX_A, A_EX_E, A_EX_F])
     def test_entropy_constant_across_windows(self, alpha):
-        for rec in maximal_windows(build_windows(alpha), alpha):
+        for rec in maximal_windows(build_windows(alpha)):
             h_lo = entropy_of_bounds(rec.lower_seq, alpha).h
             h_hi = entropy_of_bounds(rec.upper_seq, alpha).h
             assert abs(float(h_lo.mid() - h_hi.mid())) < 1e-9
