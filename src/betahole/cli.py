@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import base_solver, classifier, lyndon_intervals, survivor_shift, windows
 from .errors import BetaholeError, DepthExceeded, PreconditionError
-from .seq_core import EPSeq, RatInterval, format_interval, periodic, seq_key
+from .seq_core import EPSeq, RatInterval, format_interval, log_interval, periodic, seq_key
 
 SCHEMA = "betahole/1"
 
@@ -203,12 +203,13 @@ def cmd_staircase(args) -> int:
                 samples.append(t_r)
     samples.sort(key=seq_key)
     samples = samples[: args.points]
+    log_beta = log_interval(spec.enclosure)
     lines = ["t_lo,t_hi,dim_lo,dim_hi,seq"]
     for t_r in samples:
         value = base_solver.t_point_value(t_r, spec)
-        res = survivor_shift.entropy_of_bounds(t_r, alpha, spec.enclosure)
+        res = survivor_shift.entropy(survivor_shift.build_automaton(t_r, alpha))
         t_lo, t_hi = format_interval(value)
-        d_lo, d_hi = format_interval(res.dim)
+        d_lo, d_hi = format_interval(res.h.divide(log_beta))
         lines.append("%s,%s,%s,%s,%s" % (t_lo, t_hi, d_lo, d_hi, t_r))
     text = "\n".join(lines) + "\n"
     if args.out:

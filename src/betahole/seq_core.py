@@ -354,15 +354,21 @@ def pi_beta_at(x: EPSeq, beta: Fraction) -> Fraction:
     """Exact value sum d_i beta^-i at a rational beta > 1."""
     if beta <= 1:
         raise PreconditionError("pi_beta needs beta > 1")
-    t = 1 / Fraction(beta)
-    p, q = x.pre, x.per
-    head = Fraction(0)
-    for c in reversed(p):
-        head = (head + int(c)) * t
-    body = Fraction(0)
-    for c in reversed(q):
-        body = (body + int(c)) * t
-    return head + t ** len(p) * body / (1 - t ** len(q))
+    beta = Fraction(beta)
+    b, c = beta.numerator, beta.denominator
+    # with m = |pre|, n = |per| and the homogeneous Horner sums
+    # H_k = sum_{i<k} d_i b^(k-1-i) c^i over the first k digits,
+    # pi_beta(x) = (c H_(m+n) - c^(n+1) H_m) / (b^m (b^n - c^n))
+    m, n = len(x.pre), len(x.per)
+    h = head = 0
+    ck = 1
+    for k, d in enumerate(x.pre + x.per):
+        if k == m:
+            head = h
+        h = h * b + (ck if d == "1" else 0)
+        ck *= c
+    cn = c**n
+    return Fraction(c * h - cn * c * head, b**m * (b**n - cn))
 
 
 def pi_beta(x: EPSeq, beta) -> RatInterval:

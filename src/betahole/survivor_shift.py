@@ -11,12 +11,15 @@ the construction sound for arbitrary bounds; tracking only the deepest
 match is correct only when the bounds are shift-extremal, and lower
 bounds of the form w 0^inf (left endpoints of Lyndon intervals) are not.
 Pinned depths beyond the preperiod are folded modulo the period, so the
-state space is finite.
+state space is finite; each set is held as an int bitmask over the
+folded depths.
 
-Entropy of the presented sofic shift is log of the Perron root of the
-trimmed adjacency matrix.  The root is certified by Collatz-Wielandt
-bounds evaluated exactly on an integer approximation of the Perron
-vector: for any positive integer vector u and irreducible nonnegative A,
+Entropy of the presented sofic shift is log of the largest Perron root
+over the strongly connected components of the trimmed automaton that
+carry a cycle; each component goes to ``perron_root`` as its square
+submatrix.  The root is certified by Collatz-Wielandt bounds evaluated
+exactly on an integer approximation of the Perron vector: for any
+positive integer vector u and irreducible nonnegative A,
 min_i (Au)_i/u_i <= lambda <= max_i (Au)_i/u_i.
 """
 
@@ -27,7 +30,7 @@ from fractions import Fraction
 from operator import add
 from typing import Dict, List, Optional, Tuple
 
-from .errors import EmptyShift, PreconditionError
+from .errors import EmptyShift, InvariantError, PreconditionError
 from .seq_core import (
     EPSeq,
     RatInterval,
@@ -36,10 +39,6 @@ from .seq_core import (
 )
 
 ENTROPY_TOL = Fraction(1, 10**18)
-
-
-def _fold(i: int, pre: int, per: int) -> int:
-    return i if i < pre else pre + (i - pre) % per
 
 
 @dataclass
@@ -63,14 +62,6 @@ class ShiftAutomaton:
 
     def is_empty(self) -> bool:
         return self.start is None
-
-    def adjacency(self) -> List[List[int]]:
-        n = self.n_states
-        mat = [[0] * n for _ in range(n)]
-        for i, out in enumerate(self.edges):
-            for j in out.values():
-                mat[i][j] += 1
-        return mat
 
     def count_words(self, n: int) -> int:
         """Number of length-n words of the subshift (paths from start)."""
@@ -103,50 +94,63 @@ def build_automaton(lower: EPSeq, upper: EPSeq) -> ShiftAutomaton:
     """Deterministic automaton for Sigma_{lower,upper}, out-trimmed."""
     if not seq_le(lower, upper):
         raise PreconditionError("need lower <= upper")
-    pa, qa = len(lower.pre), len(lower.per)
-    pb, qb = len(upper.pre), len(upper.per)
+    # bit i of a mask is folded depth i; a bound of preperiod p and period
+    # q has depths 0 .. p + q - 1, and advancing past the last folds to p
+    lo_digits, up_digits = lower.pre + lower.per, upper.pre + upper.per
+    lo_full, up_full = (1 << len(lo_digits)) - 1, (1 << len(up_digits)) - 1
+    lo_top, up_top = 1 << (len(lo_digits) - 1), 1 << (len(up_digits) - 1)
+    lo_back, up_back = 1 << len(lower.pre), 1 << len(upper.pre)
+    lo_one = int(lo_digits[::-1], 2)  # lower depths reading 1
+    up_zero = up_full ^ int(up_digits[::-1], 2)  # upper depths reading 0
 
-    def step(key, d):
-        A, B = key
-        for i in A | {0}:
-            if d < lower.digit(i):
-                return None
-        for j in B | {0}:
-            if d > upper.digit(j):
-                return None
-        A2 = frozenset(_fold(i + 1, pa, qa) for i in A | {0} if lower.digit(i) == d)
-        B2 = frozenset(_fold(j + 1, pb, qb) for j in B | {0} if upper.digit(j) == d)
-        return (A2, B2)
-
-    start_key = (frozenset(), frozenset())
-    index = {start_key: 0}
+    # a state is (A, B): the pinned lower and upper depths, as masks
+    index = {(0, 0): 0}
+    keys = [(0, 0)]
     edges: List[Dict[str, int]] = [{}]
-    todo = [start_key]
+    todo = [0]
     while todo:
-        key = todo.pop()
-        i = index[key]
+        i = todo.pop()
+        A, B = keys[i]
+        A, B = A | 1, B | 1  # depth 0 is pinned to both bounds
         for d in "01":
-            nxt = step(key, d)
-            if nxt is None:
-                continue
-            if nxt not in index:
-                index[nxt] = len(edges)
+            if d == "0":
+                # rejected when a pinned lower depth reads 1
+                if A & lo_one:
+                    continue
+                A2, B2 = A, B & up_zero
+            else:
+                # rejected when a pinned upper depth reads 0
+                if B & up_zero:
+                    continue
+                A2, B2 = A & lo_one, B
+            A2 = ((A2 << 1) & lo_full) | (lo_back if A2 & lo_top else 0)
+            B2 = ((B2 << 1) & up_full) | (up_back if B2 & up_top else 0)
+            key = (A2, B2)
+            j = index.get(key)
+            if j is None:
+                j = index[key] = len(keys)
+                keys.append(key)
                 edges.append({})
-                todo.append(nxt)
-            edges[i][d] = index[nxt]
+                todo.append(j)
+            edges[i][d] = j
 
-    # out-trim: keep only states with an infinite outgoing path
-    alive = set(range(len(edges)))
-    changed = True
-    while changed:
-        changed = False
-        for i in list(alive):
-            if not any(j in alive for j in edges[i].values()):
-                alive.discard(i)
-                changed = True
-    if 0 not in alive:
+    # out-trim: keep only states with an infinite outgoing path, by
+    # dropping states whose live successor count falls to zero
+    n = len(edges)
+    live = [len(out) for out in edges]
+    preds: List[List[int]] = [[] for _ in range(n)]
+    for i, out in enumerate(edges):
+        for j in out.values():
+            preds[j].append(i)
+    dead = [i for i in range(n) if not live[i]]
+    for j in dead:
+        for i in preds[j]:
+            live[i] -= 1
+            if not live[i]:
+                dead.append(i)
+    if not live[0]:
         return ShiftAutomaton(lower, upper, [], None)
-    remap = {old: new for new, old in enumerate(sorted(alive))}
+    remap = {old: new for new, old in enumerate(i for i in range(n) if live[i])}
     new_edges: List[Dict[str, int]] = [{} for _ in remap]
     for old, new in remap.items():
         for d, j in edges[old].items():
@@ -159,9 +163,11 @@ def build_automaton(lower: EPSeq, upper: EPSeq) -> ShiftAutomaton:
 # graph utilities
 
 
-def strongly_connected_components(edges: List[Dict[str, int]]) -> List[List[int]]:
-    """Tarjan, iterative; components in reverse topological order."""
-    n = len(edges)
+def strongly_connected_components(succ) -> List[List[int]]:
+    """Tarjan, iterative, over successor collections succ[v] (lists, or the
+    ``values()`` of automaton edges); components in reverse topological
+    order."""
+    n = len(succ)
     index = [None] * n
     low = [0] * n
     on_stack = [False] * n
@@ -171,7 +177,7 @@ def strongly_connected_components(edges: List[Dict[str, int]]) -> List[List[int]
     for root in range(n):
         if index[root] is not None:
             continue
-        work = [(root, iter(list(edges[root].values())))]
+        work = [(root, iter(succ[root]))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
@@ -185,7 +191,7 @@ def strongly_connected_components(edges: List[Dict[str, int]]) -> List[List[int]
                     counter += 1
                     stack.append(w)
                     on_stack[w] = True
-                    work.append((w, iter(list(edges[w].values()))))
+                    work.append((w, iter(succ[w])))
                     advanced = True
                     break
                 elif on_stack[w]:
@@ -208,16 +214,11 @@ def strongly_connected_components(edges: List[Dict[str, int]]) -> List[List[int]
     return comps
 
 
-def _nontrivial_sccs(edges: List[Dict[str, int]]) -> List[List[int]]:
-    out = []
-    for comp in strongly_connected_components(edges):
-        if len(comp) > 1:
-            out.append(comp)
-        else:
-            v = comp[0]
-            if v in edges[v].values():
-                out.append(comp)
-    return out
+def _nontrivial_sccs(succ) -> List[List[int]]:
+    """The components of ``strongly_connected_components(succ)`` that carry
+    a cycle: two or more states, or one state with a self-loop."""
+    return [comp for comp in strongly_connected_components(succ)
+            if len(comp) > 1 or comp[0] in succ[comp[0]]]
 
 
 def minimize(aut: ShiftAutomaton) -> ShiftAutomaton:
@@ -248,37 +249,6 @@ def minimize(aut: ShiftAutomaton) -> ShiftAutomaton:
     return ShiftAutomaton(aut.lower, aut.upper, edges, block[aut.start])
 
 
-def essential_states(edges: List[Dict[str, int]]) -> set:
-    """States lying on some bi-infinite path: reachable from a cycle."""
-    seed = set()
-    for comp in _nontrivial_sccs(edges):
-        seed.update(comp)
-    reach = set(seed)
-    todo = list(seed)
-    while todo:
-        i = todo.pop()
-        for j in edges[i].values():
-            if j not in reach:
-                reach.add(j)
-                todo.append(j)
-    return reach
-
-
-def essential_part(aut: ShiftAutomaton) -> ShiftAutomaton:
-    """Restriction to states on bi-infinite paths (in- and out-trimmed)."""
-    if aut.is_empty():
-        return aut
-    keep = essential_states(aut.edges)
-    remap = {old: new for new, old in enumerate(sorted(keep))}
-    edges: List[Dict[str, int]] = [{} for _ in remap]
-    for old, new in remap.items():
-        for d, j in aut.edges[old].items():
-            if j in remap:
-                edges[new][d] = remap[j]
-    start = remap.get(aut.start)
-    return ShiftAutomaton(aut.lower, aut.upper, edges, start)
-
-
 # ---------------------------------------------------------------------------
 # Perron root and entropy
 
@@ -297,17 +267,32 @@ def perron_root(mat: List[List[int]], tol: Fraction = ENTROPY_TOL) -> RatInterva
     n = len(mat)
     if tol <= 0:
         raise PreconditionError("perron_root needs a positive tolerance")
-    edges = [{j: j for j, a in enumerate(row) if a} for row in mat]
-    if n == 0 or len(strongly_connected_components(edges)) > 1:
+    if n == 0:
         raise PreconditionError("perron_root needs an irreducible matrix")
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in mat]
+    # irreducible: state 0 reaches every state, and every state reaches 0
+    back: List[List[int]] = [[] for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, _ in row:
+            back[j].append(i)
+    for graph in ([[j for j, _ in row] for row in rows], back):
+        seen = {0}
+        todo = [0]
+        while todo:
+            for j in graph[todo.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        if len(seen) < n:
+            raise PreconditionError("perron_root needs an irreducible matrix")
     if n == 1:
         return RatInterval.point(Fraction(mat[0][0]))
     # A as a sum of selection layers: the k-th unit in row i sits in column
     # layers[k][i], and index n reads a padding 0 kept at the end of u, so
     # (A u)_i = sum_k u[layers[k][i]] runs as C-level maps
     layers: List[List[int]] = []
-    for i, row in enumerate(mat):
-        cols = [j for j, a in enumerate(row) for _ in range(a)]
+    for i, row in enumerate(rows):
+        cols = [j for j, a in row for _ in range(a)]
         for k, j in enumerate(cols):
             if k == len(layers):
                 layers.append([n] * n)
@@ -358,20 +343,34 @@ def perron_root(mat: List[List[int]], tol: Fraction = ENTROPY_TOL) -> RatInterva
         u = w
 
 
-def spectral_radius(mat: List[List[int]], tol: Fraction = ENTROPY_TOL) -> RatInterval:
-    """Perron root of a general nonnegative integer matrix: the maximum
-    of the per-SCC roots."""
-    edges = [{str(j): j for j, a in enumerate(row) if a} for row in mat]
-    comps = _nontrivial_sccs(edges)
-    if not comps:
-        return RatInterval.point(Fraction(0))
+def _max_scc_root(succ, tol: Fraction) -> Optional[RatInterval]:
+    """Maximum Perron root over the nontrivial SCCs of the graph with
+    successor collections succ (a target listed k times is an entry k);
+    each SCC goes to ``perron_root`` as its square submatrix in state
+    order.  None when the graph has no cycle."""
     out = None
-    for comp in comps:
-        comp_sorted = sorted(comp)
-        sub = [[mat[a][b] for b in comp_sorted] for a in comp_sorted]
+    for comp in _nontrivial_sccs(succ):
+        comp.sort()
+        pos = {v: k for k, v in enumerate(comp)}
+        sub = []
+        for v in comp:
+            row = [0] * len(comp)
+            for w in succ[v]:
+                k = pos.get(w)
+                if k is not None:
+                    row[k] += 1
+            sub.append(row)
         root = perron_root(sub, tol)
         out = root if out is None else out.max(root)
     return out
+
+
+def spectral_radius(mat: List[List[int]], tol: Fraction = ENTROPY_TOL) -> RatInterval:
+    """Perron root of a general nonnegative integer matrix: the maximum
+    of the per-SCC roots, 0 for a nilpotent matrix."""
+    succ = [[j for j, a in enumerate(row) if a for _ in range(a)] for row in mat]
+    root = _max_scc_root(succ, tol)
+    return RatInterval.point(Fraction(0)) if root is None else root
 
 
 @dataclass(frozen=True)
@@ -387,10 +386,13 @@ class EntropyResult:
 def entropy(aut: ShiftAutomaton, tol: Fraction = ENTROPY_TOL) -> EntropyResult:
     if aut.is_empty():
         raise EmptyShift("entropy of the empty shift is undefined")
-    lam = spectral_radius(aut.adjacency(), tol)
+    lam = _max_scc_root([out.values() for out in aut.edges], tol)
+    # an out-trimmed nonempty automaton has a cycle, and a nontrivial SCC
+    # of a 0/1 matrix has Perron root >= 1
+    if lam is None:
+        raise InvariantError("out-trimmed nonempty automaton without a cycle")
     if lam.lo < 1:
-        # out-trimmed nonempty automata always contain a cycle
-        lam = RatInterval(max(lam.lo, Fraction(1)), max(lam.hi, Fraction(1)))
+        raise InvariantError("Perron root enclosure below 1: %r" % (lam,))
     h = log_interval(lam)
     return EntropyResult(h=h, perron=lam)
 
@@ -497,7 +499,7 @@ def is_transitive_sofic(aut: ShiftAutomaton, word_check_len: int = 4) -> Transit
     if aut.is_empty():
         return TransitivityReport(False, False, None)
     mini = minimize(aut)
-    comps = _nontrivial_sccs(mini.edges)
+    comps = _nontrivial_sccs([out.values() for out in mini.edges])
     if len(comps) != 1:
         return TransitivityReport(False, False, _word_level_check(aut, word_check_len))
     core = set(comps[0])

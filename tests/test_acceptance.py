@@ -33,7 +33,6 @@ from betahole.survivor_shift import (
     count_words_oracle,
     entropy,
     entropy_of_bounds,
-    essential_part,
     is_transitive_sofic,
     oracle_words,
 )
@@ -46,6 +45,7 @@ from betahole.word_combinatorics import (
     lyndon_words,
     xi,
 )
+from oracles import essential_part
 
 
 def report(number, text):

@@ -181,6 +181,14 @@ def test_perron_root_rejects_reducible():
         perron_root([[1, 1], [0, 1]])
     with pytest.raises(PreconditionError):
         perron_root([[1, 1], [1, 0]], Fraction(0))
+    for mat in (
+        [[1, 0, 1], [1, 0, 1], [1, 0, 1]],  # zero column: state 1 is never entered
+        [[1, 1], [0, 0]],  # zero row
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],  # two disjoint cycles
+        [],
+    ):
+        with pytest.raises(PreconditionError):
+            perron_root(mat)
 
 
 # ---------------------------------------------------------------------------

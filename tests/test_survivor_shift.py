@@ -14,7 +14,6 @@ from betahole.survivor_shift import (
     dimension,
     entropy,
     entropy_of_bounds,
-    essential_part,
     is_transitive_sofic,
     minimize,
     oracle_words,
@@ -22,6 +21,7 @@ from betahole.survivor_shift import (
     spectral_radius,
 )
 from betahole.word_combinatorics import cyclic_max, farey_level
+from oracles import essential_part
 
 GOLDEN_MEAN_H = math.log((1 + 5**0.5) / 2)
 
