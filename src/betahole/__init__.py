@@ -5,7 +5,7 @@ expansion alpha(beta), the package classifies beta by renormalization,
 computes the critical point tau(beta), beta-Lyndon intervals and entropy
 plateaus, non-transitivity windows and transitivity verdicts, survivor
 set entropy and Hausdorff dimension, and the exceptional points of the
-bifurcation set, with brute-force oracles cross-checking the fast paths.
+bifurcation set.
 """
 
 from .base_solver import (
@@ -37,8 +37,6 @@ from .survivor_shift import (
     EntropyResult,
     ShiftAutomaton,
     build_automaton,
-    count_words_oracle,
-    descending_check,
     dimension,
     entropy,
     entropy_of_bounds,

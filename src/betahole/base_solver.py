@@ -31,6 +31,10 @@ from .seq_core import (
 )
 
 DEFAULT_TOL = Fraction(1, 10**30)
+# refinements of an enclosed beta that greedy_digits tries before giving up
+MAX_REFINE = 10
+# longest period detect_eventually_periodic tries
+MAX_PERIOD = 64
 
 
 # bounded: the word searches test the same few alphas thousands of times
@@ -146,34 +150,15 @@ def alpha_from_beta(beta: Union[Fraction, int, str], n: int) -> str:
     return "".join(digits)
 
 
-def alpha_from_beta_interval(beta: RatInterval, n: int) -> str:
-    """Interval version; raises UndecidableDigit when the enclosure
-    straddles a branch point (an externally supplied enclosure cannot be
-    re-tightened)."""
-    lo = hi = Fraction(1)
-    digits = []
-    for i in range(n):
-        ylo, yhi = beta.lo * lo, beta.hi * hi
-        if ylo > 1:
-            digits.append("1")
-            lo, hi = ylo - 1, yhi - 1
-        elif yhi <= 1:
-            digits.append("0")
-            lo, hi = ylo, yhi
-        else:
-            raise UndecidableDigit("digit %d straddles the branch point" % (i + 1,))
-    return "".join(digits)
-
-
-def greedy_digits(t, beta, n: int, max_refine: int = 10) -> str:
+def greedy_digits(t, beta, n: int) -> str:
     """First n digits of the greedy expansion b(t, beta).
 
     beta may be an exact rational or a BetaSpec; t is an exact rational
     in [0, 1).  Greedy orbit: digit 1 iff beta x >= 1, x <- beta x - digit.
     With an enclosed beta, a digit is emitted only when the whole box
     lies on one side of the branch point; otherwise the enclosure is
-    refined (up to max_refine halvings of the tolerance) and the orbit
-    rerun.
+    refined (up to MAX_REFINE times, each to 2^-10 of its width) and
+    the orbit rerun.
     """
     t = Fraction(t)
     if not 0 <= t < 1:
@@ -194,7 +179,7 @@ def greedy_digits(t, beta, n: int, max_refine: int = 10) -> str:
     if not isinstance(beta, BetaSpec):
         raise PreconditionError("beta must be a Fraction or BetaSpec")
     spec = beta
-    for _ in range(max_refine + 1):
+    for _ in range(MAX_REFINE + 1):
         iv = spec.enclosure
         lo = hi = t
         out = []
@@ -217,9 +202,10 @@ def greedy_digits(t, beta, n: int, max_refine: int = 10) -> str:
 
 
 def is_greedy_admissible(x: EPSeq, alpha: EPSeq) -> bool:
-    """Parry condition sigma^n(x) < alpha for all n >= 0 (finite check)."""
+    """Parry condition sigma^n(x) < alpha for all n >= 0, checked on the
+    n_tails(x) distinct tails."""
     check_admissible_alpha(alpha)
-    return all(seq_lt(shift(x, k), alpha) for k in range(n_tails(x) + 1))
+    return all(seq_lt(shift(x, k), alpha) for k in range(n_tails(x)))
 
 
 def periodic_alpha_to_greedy_one(alpha: EPSeq) -> EPSeq:
@@ -232,13 +218,13 @@ def periodic_alpha_to_greedy_one(alpha: EPSeq) -> EPSeq:
     return eps(alpha.per[:-1] + "1", "0")
 
 
-def detect_eventually_periodic(digits: str, max_period: int = 64) -> Optional[EPSeq]:
+def detect_eventually_periodic(digits: str) -> Optional[EPSeq]:
     """Smallest (pre, per) consistent with the digit prefix, requiring at
     least two full periods of evidence beyond the preperiod; None if no
     such pattern fits.  This certifies nothing about unseen digits."""
     n = len(digits)
     best = None
-    for q in range(1, min(max_period, n // 2) + 1):
+    for q in range(1, min(MAX_PERIOD, n // 2) + 1):
         # smallest p such that digits[i] == digits[i + q] for all i in [p, n - q)
         p = n - q
         while p >= 1 and digits[p - 1] == digits[p - 1 + q]:

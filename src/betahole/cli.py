@@ -102,7 +102,7 @@ def cmd_plateaus(args) -> int:
                 "right": str(e.right_seq),
                 "m": e.m,
                 "entropy": _enclosure(p.entropy),
-                "maximal": p.maximal,
+                "maximal": True,  # plateaus lists only the maximal EBLIs
             }
         )
     _emit(
@@ -213,8 +213,12 @@ def cmd_staircase(args) -> int:
         lines.append("%s,%s,%s,%s,%s" % (t_lo, t_hi, d_lo, d_hi, t_r))
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print("error: cannot write --out %s: %s" % (args.out, exc.strerror or exc), file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0
@@ -316,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap", help="left endpoint of a beta-Lyndon gap")
     p.add_argument("--alpha", required=True)
-    p.add_argument("--m", type=int, required=True, help="repetition count M")
+    p.add_argument("--m", type=_count, required=True, help="repetition count M")
     p.set_defaults(func=cmd_gap)
 
     return parser

@@ -14,13 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .base_solver import BetaSpec, beta_from_alpha, check_admissible_alpha
+from .base_solver import BetaSpec, beta_from_alpha, is_greedy_admissible
 from .classifier import Position, classify, tau
 from .errors import InvariantError, NoCandidate, PreconditionError
 from .seq_core import (
     EPSeq,
     RatInterval,
     eps,
+    is_shift_minimal,
     minus,
     n_tails,
     periodic,
@@ -37,11 +38,7 @@ from .word_combinatorics import is_lyndon, lyndon_words
 
 def is_beta_lyndon(w: str, alpha: EPSeq) -> bool:
     """Lyndon, and w^inf is a greedy expansion for the base with this alpha."""
-    if not is_lyndon(w):
-        return False
-    check_admissible_alpha(alpha)
-    x = periodic(w)
-    return all(seq_lt(shift(x, k), alpha) for k in range(len(w)))
+    return is_lyndon(w) and is_greedy_admissible(periodic(w), alpha)
 
 
 def v_star(v: str, alpha: EPSeq) -> str:
@@ -113,33 +110,9 @@ def symbolic_plateau(w: str, alpha: EPSeq) -> Tuple[EPSeq, EPSeq]:
 
 def in_E_beta(b: EPSeq, alpha: EPSeq) -> bool:
     """Membership of t in the bifurcation set: sigma^n(b) >= b for all n."""
-    from .base_solver import is_greedy_admissible
-
     if not is_greedy_admissible(b, alpha):
         raise PreconditionError("%s is not a greedy expansion for this base" % (b,))
-    return all(seq_ge(shift(b, n), b) for n in range(1, n_tails(b) + 1))
-
-
-def _contains(outer: Ebli, inner: Ebli) -> bool:
-    return seq_le(outer.left_seq, inner.left_seq) and seq_le(inner.right_seq, outer.right_seq)
-
-
-def nesting_or_disjoint(a: Ebli, b: Ebli) -> bool:
-    """Two EBLIs either do not overlap or one contains the other."""
-    if _contains(a, b) or _contains(b, a):
-        return True
-    return seq_le(a.right_seq, b.left_seq) or seq_le(b.right_seq, a.left_seq)
-
-
-def is_maximal_ebli(e: Ebli, windows) -> bool:
-    """Maximal iff not properly contained in the closure of a
-    non-transitivity window."""
-    for rec in windows:
-        inside = seq_le(rec.lower_seq, e.left_seq) and seq_le(e.right_seq, rec.upper_seq)
-        equal = rec.lower_seq == e.left_seq and rec.upper_seq == e.right_seq
-        if inside and not equal:
-            return False
-    return True
+    return is_shift_minimal(b)
 
 
 @dataclass(frozen=True)
@@ -149,7 +122,6 @@ class Plateau:
     kind: str  # "ebli" | "terminal"
     ebli: Optional[Ebli]
     entropy: Optional[RatInterval]
-    maximal: bool = True
 
 
 @dataclass(frozen=True)

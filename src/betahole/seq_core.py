@@ -7,9 +7,9 @@ proper power) and the preperiod is as short as possible.  Canonical form
 makes value equality coincide with structural equality, so EPSeq objects
 can be dict keys and golden-test fixtures.
 
-Lexicographic comparison conventions follow the usual symbolic-dynamics
-ones: sequences compare digit by digit; a finite word c compares to a
-word d as c 1^inf vs d 0^inf, and to a sequence x as c 1^inf vs x.
+Sequences compare lexicographically, digit by digit (``lex_cmp``, and
+the sort key ``seq_key``); a finite word enters a comparison as a
+sequence, e.g. w^inf (``periodic``) or w 0^inf (``word_zeros``).
 
 The numeric kernel is exact rational arithmetic (fractions.Fraction).
 A base beta is carried as a rational interval enclosure, and pi_beta
@@ -170,16 +170,6 @@ def seq_ge(x: EPSeq, y: EPSeq) -> bool:
     return lex_cmp(x, y) is not Ordering.LESS
 
 
-def cmp_words(c: str, d: str) -> Ordering:
-    """Word comparison c < d iff c 1^inf < d 0^inf."""
-    return lex_cmp(EPSeq(c, "1"), EPSeq(d, "0"))
-
-
-def cmp_word_seq(c: str, d: EPSeq) -> Ordering:
-    """Mixed comparison c < d iff c 1^inf < d."""
-    return lex_cmp(EPSeq(c, "1"), d)
-
-
 def shift(x: EPSeq, n: int) -> EPSeq:
     """The shifted sequence sigma^n(x), canonical."""
     if n < 0:
@@ -240,9 +230,6 @@ class RatInterval:
     def __sub__(self, other: "RatInterval") -> "RatInterval":
         return RatInterval(self.lo - other.hi, self.hi - other.lo)
 
-    def union(self, other: "RatInterval") -> "RatInterval":
-        return RatInterval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     def max(self, other: "RatInterval") -> "RatInterval":
         """Enclosure of max(a, b) for a in self, b in other."""
         return RatInterval(max(self.lo, other.lo), max(self.hi, other.hi))
@@ -254,10 +241,6 @@ class RatInterval:
         if self.lo < 0:
             raise PreconditionError("interval division implemented for nonnegative numerators")
         return RatInterval(self.lo / other.hi, self.hi / other.lo)
-
-    def separated_below(self, other: "RatInterval") -> bool:
-        """True when every value of self is < every value of other."""
-        return self.hi < other.lo
 
 
 # Certified logarithm in integer fixed point.  A value is carried as an

@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import reduce
 
 from .errors import InvariantError, NotInLambda, NotInRange, PreconditionError
-from .seq_core import EPSeq, check_word, minus, periodic, plus
+from .seq_core import EPSeq, check_word, minus, periodic, plus, shift
 from .word_combinatorics import cyclic_max, farey_words_of_length, is_farey, is_lyndon
 
 
@@ -62,6 +62,8 @@ class _Blocks:
         self.L = cyclic_max(s)
         self.s_minus = minus(s)
         self.L_plus = plus(self.L)
+        # the four blocks are pairwise distinct words
+        self.kind = {self.s_minus: "s_minus", s: "s", self.L: "L", self.L_plus: "L_plus"}
 
     def image_of_runs(self, runs) -> str:
         out = []
@@ -143,16 +145,19 @@ _NEXT = {
 }
 
 
-def _classify_block(blocks: _Blocks, chunk: str):
-    if chunk == blocks.s_minus:
-        return "s_minus"
-    if chunk == blocks.s:
-        return "s"
-    if chunk == blocks.L:
-        return "L"
-    if chunk == blocks.L_plus:
-        return "L_plus"
-    return None
+def _next_kind(blocks: _Blocks, chunk: str, prev, pos: int) -> str:
+    """Kind of the block chunk at digit pos, following a block of kind
+    prev (None at the start); NotInRange when chunk is no block or breaks
+    the succession rule."""
+    kind = blocks.kind.get(chunk)
+    if kind is None:
+        raise NotInRange("unrecognized block at digit %d" % pos, position=pos)
+    if prev is None:
+        if kind not in ("s_minus", "L_plus"):
+            raise NotInRange("sequence must start with s^- or L(s)^+", position=0)
+    elif kind not in _NEXT[prev]:
+        raise NotInRange("block succession %s -> %s violates the graph" % (prev, kind), position=pos)
+    return kind
 
 
 def phi_inverse_word(s: str, w: str):
@@ -164,16 +169,8 @@ def phi_inverse_word(s: str, w: str):
     kinds = []
     prev = None
     for pos in range(0, len(w), m):
-        kind = _classify_block(blocks, w[pos : pos + m])
-        if kind is None:
-            raise NotInRange("unrecognized block at digit %d" % pos, position=pos)
-        if prev is None:
-            if kind not in ("s_minus", "L_plus"):
-                raise NotInRange("sequence must start with s^- or L(s)^+", position=0)
-        elif kind not in _NEXT[prev]:
-            raise NotInRange("block succession %s -> %s violates the graph" % (prev, kind), position=pos)
-        kinds.append(kind)
-        prev = kind
+        prev = _next_kind(blocks, w[pos : pos + m], prev, pos)
+        kinds.append(prev)
     return "".join(_KIND_DIGIT[k] for k in kinds), kinds
 
 
@@ -193,8 +190,6 @@ def phi_inverse(s: str, x):
     seen = {}
     pos = 0
     while True:
-        from .seq_core import shift
-
         state = (shift(x, pos), prev)
         if state in seen:
             start = seen[state]
@@ -202,17 +197,8 @@ def phi_inverse(s: str, x):
             per = "".join(digits[start:])
             return EPSeq(pre, per)
         seen[state] = len(digits)
-        chunk = x.prefix(pos + m)[pos:]
-        kind = _classify_block(blocks, chunk)
-        if kind is None:
-            raise NotInRange("unrecognized block at digit %d" % pos, position=pos)
-        if prev is None:
-            if kind not in ("s_minus", "L_plus"):
-                raise NotInRange("sequence must start with s^- or L(s)^+", position=0)
-        elif kind not in _NEXT[prev]:
-            raise NotInRange("block succession %s -> %s violates the graph" % (prev, kind), position=pos)
-        digits.append(_KIND_DIGIT[kind])
-        prev = kind
+        prev = _next_kind(blocks, x.prefix(pos + m)[pos:], prev, pos)
+        digits.append(_KIND_DIGIT[prev])
         pos += m
 
 
@@ -258,7 +244,5 @@ def sandwich_points(s: str):
     s 0^inf <= sigma^n(z) <= L(s)^inf for all n."""
     if not is_farey(s) or len(s) < 2:
         raise PreconditionError("sandwich_points needs a Farey word of length >= 2")
-    from .seq_core import shift
-
     base = periodic(s)
     return [shift(base, j) for j in range(len(s))]

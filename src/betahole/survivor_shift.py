@@ -1,5 +1,6 @@
 """Automaton presentation of the subshift Sigma_{lower,upper}, its
-entropy via a certified Perron root, and brute-force oracles.
+entropy via a certified Perron root, and sofic transitivity.  The
+brute-force word oracles that check the automaton live in the tests.
 
 Sigma_{a,b} = { z : a <= sigma^n(z) <= b for all n }.  A word is viable
 when none of its suffixes has dropped below a or risen above b.  The
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .errors import EmptyShift, InvariantError, PreconditionError
 from .seq_core import (
@@ -39,6 +40,8 @@ from .seq_core import (
 )
 
 ENTROPY_TOL = Fraction(1, 10**18)
+# length of the word pairs the word-level transitivity check connects
+WORD_CHECK_LEN = 4
 
 
 @dataclass
@@ -414,68 +417,6 @@ def entropy_of_bounds(lower: EPSeq, upper: EPSeq, beta_enclosure: Optional[RatIn
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracles (kept independent of the automaton machinery: no
-# depth folding, no state sharing, just direct digit comparisons)
-
-
-def _oracle_step(pins, d: str, lower: EPSeq, upper: EPSeq):
-    """Advance the unfolded pinned-suffix sets by one digit; None when
-    some suffix would leave the [lower, upper] corridor."""
-    A, B = pins
-    A2, B2 = [], []
-    for i in A + [0]:
-        c = lower.digit(i)
-        if d < c:
-            return None
-        if d == c:
-            A2.append(i + 1)
-    for j in B + [0]:
-        c = upper.digit(j)
-        if d > c:
-            return None
-        if d == c:
-            B2.append(j + 1)
-    return (A2, B2)
-
-
-def _extendable(pins, lower: EPSeq, upper: EPSeq, depth: int) -> bool:
-    if depth == 0:
-        return True
-    for d in "01":
-        nxt = _oracle_step(pins, d, lower, upper)
-        if nxt is not None and _extendable(nxt, lower, upper, depth - 1):
-            return True
-    return False
-
-
-def oracle_words(lower: EPSeq, upper: EPSeq, n: int, horizon: int = 48):
-    """Set of length-n words extendable to a sequence in Sigma_{lower,upper},
-    by depth-first search with direct suffix-bound checks.  Extendability
-    is verified to depth n + horizon, which is heuristic but exact for
-    every sofic shift whose transients die out within the horizon."""
-    if n > 24:
-        raise PreconditionError("oracle is brute force; n <= 24")
-    out = set()
-
-    def rec(word: str, pins):
-        if len(word) == n:
-            if _extendable(pins, lower, upper, horizon):
-                out.add(word)
-            return
-        for d in "01":
-            nxt = _oracle_step(pins, d, lower, upper)
-            if nxt is not None:
-                rec(word + d, nxt)
-
-    rec("", ([], []))
-    return out
-
-
-def count_words_oracle(lower: EPSeq, upper: EPSeq, n: int, horizon: int = 48) -> int:
-    return len(oracle_words(lower, upper, n, horizon))
-
-
-# ---------------------------------------------------------------------------
 # transitivity
 
 
@@ -495,13 +436,13 @@ class TransitivityReport:
     word_level: Optional[bool] = None
 
 
-def is_transitive_sofic(aut: ShiftAutomaton, word_check_len: int = 4) -> TransitivityReport:
+def is_transitive_sofic(aut: ShiftAutomaton) -> TransitivityReport:
     if aut.is_empty():
         return TransitivityReport(False, False, None)
     mini = minimize(aut)
     comps = _nontrivial_sccs([out.values() for out in mini.edges])
     if len(comps) != 1:
-        return TransitivityReport(False, False, _word_level_check(aut, word_check_len))
+        return TransitivityReport(False, False, _word_level_check(aut, WORD_CHECK_LEN))
     core = set(comps[0])
     # every word readable from start must also be readable inside the core:
     # track (state, set of core states where the word is alive)
@@ -520,7 +461,7 @@ def is_transitive_sofic(aut: ShiftAutomaton, word_check_len: int = 4) -> Transit
             if st not in seen:
                 seen.add(st)
                 todo.append(st)
-    word = _word_level_check(aut, word_check_len)
+    word = _word_level_check(aut, WORD_CHECK_LEN)
     return TransitivityReport(ok, ok, word)
 
 
@@ -553,22 +494,4 @@ def _word_level_check(aut: ShiftAutomaton, d: int) -> bool:
         for w in words:
             if not any(run(q, w) is not None for q in reach | {p}):
                 return False
-    return True
-
-
-def descending_check(bounds: List[Tuple[EPSeq, EPSeq]], n_window: int = 12) -> bool:
-    """Strictly descending subsh({X_i}): languages nested with a strict
-    inclusion witnessed at some length."""
-    for (lo1, up1), (lo2, up2) in zip(bounds, bounds[1:]):
-        strict = False
-        for n in range(1, n_window + 1):
-            w1 = oracle_words(lo1, up1, n)
-            w2 = oracle_words(lo2, up2, n)
-            if not w2 <= w1:
-                return False
-            if w2 < w1:
-                strict = True
-                break
-        if not strict:
-            return False
     return True

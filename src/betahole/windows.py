@@ -81,9 +81,11 @@ def _scan_sequence(alpha: EPSeq) -> EPSeq:
     return alpha
 
 
-def build_windows(
-    alpha: EPSeq, record: Optional[ClassRecord] = None, max_windows: int = 4096
-) -> WindowSet:
+# window steps build_windows takes before giving up
+MAX_WINDOWS = 4096
+
+
+def build_windows(alpha: EPSeq, record: Optional[ClassRecord] = None) -> WindowSet:
     """The full window list for beta in the interior of a basic interval.
 
     ``record`` is the classification of alpha; by default it is computed.
@@ -99,7 +101,7 @@ def build_windows(
     records: List[WindowRecord] = []
     seen = {}
     k = 0
-    while len(records) < max_windows:
+    while len(records) < MAX_WINDOWS:
         tail = shift(A, j)
         if tail == ZERO:
             return WindowSet(tuple(records), None)
@@ -119,7 +121,7 @@ def build_windows(
         head = A.prefix(j)
         if not head.endswith("1"):
             raise InvariantError("window head %r does not end in 1" % (head,))
-        star = v if is_beta_lyndon(v, alpha) else v_star(v, alpha)
+        star = v_star(v, alpha)
         closed = star == v and shift(A, j) == periodic(v)
         records.append(
             WindowRecord(
@@ -134,7 +136,7 @@ def build_windows(
             )
         )
         j += n
-    raise PreconditionError("window construction exceeded %d steps" % max_windows)
+    raise PreconditionError("window construction exceeded %d steps" % MAX_WINDOWS)
 
 
 def _next_v(A: EPSeq, j: int) -> Optional[str]:

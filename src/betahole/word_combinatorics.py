@@ -180,12 +180,6 @@ def is_balanced(w: str) -> bool:
     return True
 
 
-def balanced_prefix(x, window: int) -> bool:
-    """Balancedness of an EPSeq, verified on a prefix of |pre| + 2|per| + window."""
-    depth = len(x.pre) + 2 * len(x.per) + window
-    return is_balanced(x.prefix(depth))
-
-
 def standard_factorization(s: str):
     """The unique split s = s1 s2 with s1, s2 both Farey.
 

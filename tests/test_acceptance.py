@@ -23,18 +23,15 @@ from betahole.lyndon_intervals import (
     exceptional_points,
     in_E_beta,
     is_beta_lyndon,
-    nesting_or_disjoint,
     plateaus,
 )
 from betahole.seq_core import EPSeq, eps, periodic, pi_beta, seq_le, seq_lt, word_zeros
 from betahole.substitution import bullet, compose_chain, phi, phi_inverse, sandwich_points
 from betahole.survivor_shift import (
     build_automaton,
-    count_words_oracle,
     entropy,
     entropy_of_bounds,
     is_transitive_sofic,
-    oracle_words,
 )
 from betahole.windows import build_windows, is_transitive, maximal_windows
 from betahole.word_combinatorics import (
@@ -45,7 +42,7 @@ from betahole.word_combinatorics import (
     lyndon_words,
     xi,
 )
-from oracles import essential_part
+from oracles import count_words_oracle, essential_part, nesting_or_disjoint, oracle_words
 
 
 def report(number, text):

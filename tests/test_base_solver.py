@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from betahole.base_solver import (
     BetaSpec,
     alpha_from_beta,
-    alpha_from_beta_interval,
     beta_from_alpha,
     detect_eventually_periodic,
     greedy_digits,
@@ -16,7 +15,7 @@ from betahole.base_solver import (
     is_greedy_admissible,
     periodic_alpha_to_greedy_one,
 )
-from betahole.errors import InadmissibleAlpha, PreconditionError, UndecidableDigit
+from betahole.errors import InadmissibleAlpha, PreconditionError
 from betahole.seq_core import ONE, EPSeq, RatInterval, eps, periodic, pi_beta_at, word_zeros
 from betahole.word_combinatorics import cyclic_max
 
@@ -64,18 +63,6 @@ class TestAlphaFromBeta:
     def test_tribonacci(self):
         digits = alpha_from_beta(TRIBONACCI_LO, 18)
         assert digits == "110" * 6
-
-    def test_interval_version(self):
-        iv = RatInterval(GOLDEN - Fraction(1, 10**20), GOLDEN - Fraction(1, 10**30))
-        assert alpha_from_beta_interval(iv, 12) == "10" * 6
-
-    def test_interval_undecidable(self):
-        # an enclosure straddling the branch point cannot decide digit 2
-        iv = RatInterval(GOLDEN - Fraction(1, 10**20), GOLDEN + Fraction(1, 10**20))
-        with pytest.raises(UndecidableDigit):
-            alpha_from_beta_interval(iv, 12)
-        with pytest.raises(UndecidableDigit):
-            alpha_from_beta_interval(RatInterval(Fraction(3, 2), Fraction(7, 4)), 12)
 
 
 class TestBetaFromAlpha:

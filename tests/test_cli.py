@@ -121,14 +121,23 @@ class TestExitCodes:
             ("alpha", "--beta", "1.8", "--digits", "-3"),
             ("staircase", "--alpha", "(1)", "--points", "-1"),
             ("plateaus", "--alpha", "(1)", "--max-len", "-1"),
+            ("gap", "--alpha", "1110100110111(001)", "--m", "-1"),
         ],
-        ids=["beta-not-rational", "digits-negative", "points-negative", "max-len-negative"],
+        ids=["beta-not-rational", "digits-negative", "points-negative", "max-len-negative", "m-negative"],
     )
     def test_bad_argument_is_usage_error(self, argv):
         proc = run_cli(*argv)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1 and "error" in proc.stderr
+
+    def test_unwritable_out_is_usage_error(self, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        proc = run_cli("staircase", "--alpha", "(1)", "--points", "2", "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and "error" in proc.stderr
+        assert not out.exists()
 
     def test_bad_precision_env_is_usage_error(self):
         proc = run_cli("beta", "--alpha", "(1)", env={"BETAHOLE_PRECISION": "x"})

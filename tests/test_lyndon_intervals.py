@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betahole import lyndon_intervals
-from betahole.base_solver import beta_from_alpha, is_admissible_alpha
+from betahole.base_solver import beta_from_alpha, is_admissible_alpha, is_greedy_admissible
 from betahole.classifier import classify, tau
 from betahole.errors import InvariantError, NoCandidate, PreconditionError
 from betahole.lyndon_intervals import (
@@ -17,8 +17,6 @@ from betahole.lyndon_intervals import (
     gap_point,
     in_E_beta,
     is_beta_lyndon,
-    is_maximal_ebli,
-    nesting_or_disjoint,
     plateaus,
     symbolic_plateau,
     v_star,
@@ -26,6 +24,14 @@ from betahole.lyndon_intervals import (
 from betahole.seq_core import EPSeq, eps, periodic, pi_beta, seq_ge, seq_key, seq_le, seq_lt, shift, word_zeros
 from betahole.windows import build_windows, maximal_windows
 from betahole.word_combinatorics import cyclic_max, is_lyndon, lyndon_words
+from oracles import (
+    beta_lyndon_loop,
+    ebli_contains,
+    greedy_admissible_loop,
+    in_E_beta_loop,
+    is_maximal_ebli,
+    nesting_or_disjoint,
+)
 
 A_STAR = EPSeq.parse("111010(110)")     # beta_*^{011}
 A_91 = EPSeq.parse("(1110101100)")
@@ -336,10 +342,6 @@ def admissible_alphas(draw):
     return next(x for x in (eps(pre[i:], per) for i in range(len(pre) + 1)) if is_admissible_alpha(x))
 
 
-def _contains(outer, inner):
-    return seq_le(outer.left_seq, inner.left_seq) and seq_le(inner.right_seq, outer.right_seq)
-
-
 class TestPlateauSweep:
     @settings(max_examples=80, deadline=None)
     @given(admissible_alphas(), st.integers(0, 8))
@@ -357,7 +359,7 @@ class TestPlateauSweep:
             for b in candidates[i + 1 :]:
                 assert nesting_or_disjoint(a, b), (a.w, b.w)
         expected = [
-            e for e in candidates if not any(o is not e and _contains(o, e) for o in candidates)
+            e for e in candidates if not any(o is not e and ebli_contains(o, e) for o in candidates)
         ]
         expected.sort(key=lambda e: seq_key(e.right_seq))
         rep = plateaus(alpha, max_len, with_entropy=False)
@@ -388,3 +390,34 @@ class TestPlateauSweep:
         self._fake_eblis(monkeypatch, [("0001", "01"), ("001", "011"), ("00001", "0001")])
         with pytest.raises(InvariantError, match="overlap without nesting"):
             plateaus(A_STAR, max_word_len=3, with_entropy=False)
+
+
+@st.composite
+def points(draw):
+    """pre(per) with |pre|, |per| <= 8, or a word w as w^inf or w 0^inf."""
+    kind = draw(st.sampled_from(["pre(per)", "periodic", "zeros"]))
+    pre = draw(st.text("01", max_size=8))
+    if kind == "pre(per)":
+        return eps(pre, draw(st.text("01", min_size=1, max_size=8)))
+    w = pre + "1"
+    return periodic(min(w[i:] + w[:i] for i in range(len(w)))) if kind == "periodic" else word_zeros(w)
+
+
+class TestOneCopyOfEachCheck:
+    # is_beta_lyndon and in_E_beta reuse is_greedy_admissible and
+    # is_shift_minimal; the shift loops they once ran inline are the oracles
+    @settings(max_examples=300, deadline=None)
+    @given(admissible_alphas(), st.text("01", min_size=1, max_size=12), points())
+    def test_checks_agree_with_inline_loops(self, alpha, word, x):
+        lyndon_word = min(word[i:] + word[:i] for i in range(len(word)))
+        for w in (word, lyndon_word):
+            assert is_beta_lyndon(w, alpha) == beta_lyndon_loop(w, alpha), (w, str(alpha))
+        admissible = is_greedy_admissible(x, alpha)
+        assert admissible == greedy_admissible_loop(x, alpha), (str(x), str(alpha))
+        if admissible:
+            assert in_E_beta(x, alpha) == in_E_beta_loop(x, alpha), (str(x), str(alpha))
+        else:
+            with pytest.raises(PreconditionError):
+                in_E_beta(x, alpha)
+            with pytest.raises(PreconditionError):
+                in_E_beta_loop(x, alpha)

@@ -8,8 +8,6 @@ from betahole.seq_core import (
     EPSeq,
     Ordering,
     RatInterval,
-    cmp_word_seq,
-    cmp_words,
     eps,
     format_interval,
     is_shift_maximal,
@@ -113,11 +111,6 @@ class TestLexCmp:
         assert naive_digits(x, 200) < naive_digits(y, 200)
         assert sorted([y, x], key=seq_key) == [x, y]
         assert sorted([x, y], key=seq_key) == [x, y]
-
-    def test_word_conventions(self):
-        assert cmp_word_seq("01", periodic("01")) is Ordering.GREATER
-        assert cmp_words("0", "1") is Ordering.LESS
-        assert cmp_word_seq("110", periodic("110")) is Ordering.GREATER
 
 
 class TestShift:

@@ -9,19 +9,16 @@ from betahole.errors import EmptyShift, PreconditionError
 from betahole.seq_core import EPSeq, RatInterval, eps, periodic, word_zeros
 from betahole.survivor_shift import (
     build_automaton,
-    count_words_oracle,
-    descending_check,
     dimension,
     entropy,
     entropy_of_bounds,
     is_transitive_sofic,
     minimize,
-    oracle_words,
     perron_root,
     spectral_radius,
 )
 from betahole.word_combinatorics import cyclic_max, farey_level
-from oracles import essential_part
+from oracles import count_words_oracle, descending_check, essential_part, oracle_words
 
 GOLDEN_MEAN_H = math.log((1 + 5**0.5) / 2)
 

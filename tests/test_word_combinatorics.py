@@ -135,17 +135,6 @@ class TestBalanced:
                     assert is_balanced(w[i:j]) or not is_balanced(w)
 
 
-class TestBalancedPrefix:
-    def test_balanced_eps(self):
-        from betahole.word_combinatorics import balanced_prefix
-        from betahole.seq_core import EPSeq, periodic
-
-        assert balanced_prefix(periodic("10"), 8)
-        # 111 vs 010 differ by two ones
-        assert not balanced_prefix(EPSeq.parse("1110(101)"), 6)
-        assert not balanced_prefix(periodic("1100"), 8)
-
-
 class TestStandardFactorization:
     def test_examples(self):
         assert standard_factorization("011") == ("01", "1")
