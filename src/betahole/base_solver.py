@@ -117,10 +117,9 @@ def beta_from_alpha(alpha: EPSeq, tol: Optional[Fraction] = None) -> BetaSpec:
     while (a_hi - a_lo) * tol.denominator > tol.numerator << k:
         k, a_lo, a_hi = k + 1, 2 * a_lo, 2 * a_hi
         mid = (a_lo + a_hi) >> 1
-        v = _sign_at(f, mid, k)
-        if v == 0:
-            return BetaSpec(alpha, RatInterval.point(Fraction(mid, 1 << k)))
-        if v > 0:
+        # f has leading coefficient -1, so its rational roots are integers,
+        # and mid / 2^k is a non-integer dyadic in (1, 2): f(mid / 2^k) != 0
+        if _sign_at(f, mid, k) > 0:
             a_lo = mid
         else:
             a_hi = mid

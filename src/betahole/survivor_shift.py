@@ -17,18 +17,20 @@ folded depths.
 
 Entropy of the presented sofic shift is log of the largest Perron root
 over the strongly connected components of the trimmed automaton that
-carry a cycle; each component goes to ``perron_root`` as its square
-submatrix.  The root is certified by Collatz-Wielandt bounds evaluated
+carry a cycle; each component goes to ``perron_root`` as its successor
+lists.  The root is certified by Collatz-Wielandt bounds evaluated
 exactly on an integer approximation of the Perron vector: for any
 positive integer vector u and irreducible nonnegative A,
-min_i (Au)_i/u_i <= lambda <= max_i (Au)_i/u_i.
+min_i (Au)_i/u_i <= lambda <= max_i (Au)_i/u_i.  The power steps run on
+A for an aperiodic component and on A + I for a periodic one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from math import gcd
+from operator import add, itemgetter
 from typing import Dict, List, Optional
 
 from .errors import EmptyShift, InvariantError, PreconditionError
@@ -65,21 +67,6 @@ class ShiftAutomaton:
 
     def is_empty(self) -> bool:
         return self.start is None
-
-    def count_words(self, n: int) -> int:
-        """Number of length-n words of the subshift (paths from start)."""
-        if self.start is None:
-            return 0
-        vec = [0] * self.n_states
-        vec[self.start] = 1
-        for _ in range(n):
-            nxt = [0] * self.n_states
-            for i, c in enumerate(vec):
-                if c:
-                    for j in self.edges[i].values():
-                        nxt[j] += c
-            vec = nxt
-        return sum(vec)
 
     def words(self, n: int):
         """The actual set of length-n words (for language comparisons)."""
@@ -256,61 +243,81 @@ def minimize(aut: ShiftAutomaton) -> ShiftAutomaton:
 # Perron root and entropy
 
 
-def perron_root(mat: List[List[int]], tol: Fraction = ENTROPY_TOL) -> RatInterval:
-    """Certified enclosure, of width at most tol, of the Perron root of an
-    irreducible nonnegative integer matrix.
-
-    Power iteration on A + I (primitive for irreducible A) in integer
-    fixed point: the vector is kept at about ``bits`` bits and its entries
-    at >= 1.  Every few steps the Collatz-Wielandt quotients of the step
-    just taken bound the root of A + I exactly; the brackets are
-    intersected.  When the bracket stops improving the vector is too
-    coarse for tol, and ``bits`` doubles, so the loop always ends.
-    """
-    n = len(mat)
-    if tol <= 0:
-        raise PreconditionError("perron_root needs a positive tolerance")
+def _period(succ) -> int:
+    """Period of a strongly connected graph given by successor lists: the
+    gcd of level[i] + 1 - level[j] over its edges, where level[i] is the
+    length of a path from state 0 to state i (Denardo 1977).  The search
+    that finds the levels also proves that state 0 reaches every state; a
+    backward search proves that every state reaches 0."""
+    n = len(succ)
     if n == 0:
         raise PreconditionError("perron_root needs an irreducible matrix")
-    rows = [[(j, a) for j, a in enumerate(row) if a] for row in mat]
-    # irreducible: state 0 reaches every state, and every state reaches 0
+    level = [-1] * n
+    level[0] = 0
+    todo = [0]
     back: List[List[int]] = [[] for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j, _ in row:
+    period = 0
+    for i in todo:
+        for j in succ[i]:
             back[j].append(i)
-    for graph in ([[j for j, _ in row] for row in rows], back):
-        seen = {0}
-        todo = [0]
-        while todo:
-            for j in graph[todo.pop()]:
-                if j not in seen:
-                    seen.add(j)
-                    todo.append(j)
-        if len(seen) < n:
-            raise PreconditionError("perron_root needs an irreducible matrix")
+            if level[j] < 0:  # a search-tree edge adds 0 to the gcd
+                level[j] = level[i] + 1
+                todo.append(j)
+            else:
+                period = gcd(period, level[i] + 1 - level[j])
+    seen = {0}
+    found = [0]
+    for j in found:
+        for i in back[j]:
+            if i not in seen:
+                seen.add(i)
+                found.append(i)
+    if len(todo) < n or len(found) < n:
+        raise PreconditionError("perron_root needs an irreducible matrix")
+    return period
+
+
+def perron_root(succ, tol: Fraction = ENTROPY_TOL) -> RatInterval:
+    """Certified enclosure, of width at most tol, of the Perron root of an
+    irreducible nonnegative integer matrix A given by successor lists: row
+    i lists column j A[i][j] times.
+
+    Power iteration in integer fixed point on A + cI, which is primitive:
+    c = 0 when A has period 1 (an irreducible aperiodic matrix is
+    primitive), c = 1 when it is periodic.  The vector is kept at about
+    ``bits`` bits and its entries at >= 1.  Every 8 steps the
+    Collatz-Wielandt quotients of the step just taken bound the root of
+    A + cI exactly; the brackets are intersected.  When the bracket stops
+    improving the vector is too coarse for tol, and ``bits`` doubles, so
+    the loop always ends.
+    """
+    if tol <= 0:
+        raise PreconditionError("perron_root needs a positive tolerance")
+    c = 0 if _period(succ) == 1 else 1
+    n = len(succ)
     if n == 1:
-        return RatInterval.point(Fraction(mat[0][0]))
+        return RatInterval.point(Fraction(len(succ[0])))
     # A as a sum of selection layers: the k-th unit in row i sits in column
     # layers[k][i], and index n reads a padding 0 kept at the end of u, so
-    # (A u)_i = sum_k u[layers[k][i]] runs as C-level maps
+    # (A u)_i = sum_k u[layers[k][i]] runs as C-level gathers and maps
     layers: List[List[int]] = []
-    for i, row in enumerate(rows):
-        cols = [j for j, a in row for _ in range(a)]
-        for k, j in enumerate(cols):
+    for i, row in enumerate(succ):
+        for k, j in enumerate(row):
             if k == len(layers):
                 layers.append([n] * n)
             layers[k][i] = j
+    gathers = [itemgetter(*layer) for layer in layers]
     bits = (tol.denominator // tol.numerator).bit_length() + 16
     u = [1 << bits] * n + [0]
-    # bracket lo_n/lo_d <= root of A + I <= hi_n/hi_d
-    lo_n, lo_d = 1, 1
-    hi_n, hi_d = len(layers) + 1, 1
+    # bracket lo_n/lo_d <= root of A + cI <= hi_n/hi_d
+    lo_n, lo_d = c, 1
+    hi_n, hi_d = len(layers) + c, 1
     stalled = 0
     step = 0
     while True:
-        w = u
-        for layer in layers:
-            w = map(add, w, map(u.__getitem__, layer))
+        w = u if c else gathers[0](u)
+        for get in gathers[1 - c:]:
+            w = map(add, w, get(u))
         w = list(w)
         step += 1
         if step % 8 == 0:  # certify every 8 steps
@@ -330,7 +337,7 @@ def perron_root(mat: List[List[int]], tol: Fraction = ENTROPY_TOL) -> RatInterva
                 improved = True
             width_n, width_d = hi_n * lo_d - lo_n * hi_d, hi_d * lo_d
             if width_n * tol.denominator <= tol.numerator * width_d:
-                return RatInterval(Fraction(lo_n - lo_d, lo_d), Fraction(hi_n - hi_d, hi_d))
+                return RatInterval(Fraction(lo_n - c * lo_d, lo_d), Fraction(hi_n - c * hi_d, hi_d))
             # exact power iteration only ever tightens the quotients, so a
             # check that improves neither bound means rounding noise has
             # caught up; a slowly shrinking bracket is not a stall
@@ -349,20 +356,13 @@ def perron_root(mat: List[List[int]], tol: Fraction = ENTROPY_TOL) -> RatInterva
 def _max_scc_root(succ, tol: Fraction) -> Optional[RatInterval]:
     """Maximum Perron root over the nontrivial SCCs of the graph with
     successor collections succ (a target listed k times is an entry k);
-    each SCC goes to ``perron_root`` as its square submatrix in state
-    order.  None when the graph has no cycle."""
+    each SCC goes to ``perron_root`` as its successor lists, relabelled in
+    state order.  None when the graph has no cycle."""
     out = None
     for comp in _nontrivial_sccs(succ):
         comp.sort()
         pos = {v: k for k, v in enumerate(comp)}
-        sub = []
-        for v in comp:
-            row = [0] * len(comp)
-            for w in succ[v]:
-                k = pos.get(w)
-                if k is not None:
-                    row[k] += 1
-            sub.append(row)
+        sub = [[pos[w] for w in succ[v] if w in pos] for v in comp]
         root = perron_root(sub, tol)
         out = root if out is None else out.max(root)
     return out

@@ -14,6 +14,12 @@ None of this is imported by the library.
   beta, the oracle for the integer Horner ``seq_core.pi_beta_at``.
 - ``essential_states`` / ``essential_part``: the restriction of an
   automaton to the states on bi-infinite paths.
+- ``count_words``: the number of length-n paths from an automaton's
+  start state.
+- ``perron_root_dense``: the earlier dense Perron kernel, power
+  iteration on A + I for every irreducible A, the oracle for the sparse
+  ``survivor_shift.perron_root``; ``succ_lists`` turns a dense matrix
+  into the successor lists that ``perron_root`` reads.
 - ``ebli_contains`` / ``nesting_or_disjoint`` / ``is_maximal_ebli``:
   pairwise EBLI containment and laminarity, and maximality against the
   closures of the non-transitivity windows, the O(N^2) checks behind
@@ -24,12 +30,13 @@ None of this is imported by the library.
 """
 
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Tuple
 
 from betahole.base_solver import check_admissible_alpha
 from betahole.errors import PreconditionError
-from betahole.seq_core import EPSeq, n_tails, periodic, seq_ge, seq_le, seq_lt, shift
-from betahole.survivor_shift import ShiftAutomaton, _nontrivial_sccs
+from betahole.seq_core import EPSeq, RatInterval, n_tails, periodic, seq_ge, seq_le, seq_lt, shift
+from betahole.survivor_shift import ENTROPY_TOL, ShiftAutomaton, _nontrivial_sccs
 from betahole.word_combinatorics import is_lyndon
 
 
@@ -136,6 +143,122 @@ def essential_part(aut: ShiftAutomaton) -> ShiftAutomaton:
                 edges[new][d] = remap[j]
     start = remap.get(aut.start)
     return ShiftAutomaton(aut.lower, aut.upper, edges, start)
+
+
+def count_words(aut: ShiftAutomaton, n: int) -> int:
+    """Number of length-n words of the subshift (paths from start)."""
+    if aut.start is None:
+        return 0
+    vec = [0] * aut.n_states
+    vec[aut.start] = 1
+    for _ in range(n):
+        nxt = [0] * aut.n_states
+        for i, c in enumerate(vec):
+            if c:
+                for j in aut.edges[i].values():
+                    nxt[j] += c
+        vec = nxt
+    return sum(vec)
+
+
+# ---------------------------------------------------------------------------
+# the dense Perron kernel
+
+
+def succ_lists(mat: List[List[int]]) -> List[List[int]]:
+    """Successor lists of a dense nonnegative integer matrix: row i lists
+    column j mat[i][j] times."""
+    return [[j for j, a in enumerate(row) for _ in range(a)] for row in mat]
+
+
+def perron_root_dense(mat: List[List[int]], tol: Fraction = ENTROPY_TOL) -> RatInterval:
+    """Certified enclosure, of width at most tol, of the Perron root of an
+    irreducible nonnegative integer matrix.
+
+    Power iteration on A + I (primitive for irreducible A) in integer
+    fixed point: the vector is kept at about ``bits`` bits and its entries
+    at >= 1.  Every few steps the Collatz-Wielandt quotients of the step
+    just taken bound the root of A + I exactly; the brackets are
+    intersected.  When the bracket stops improving the vector is too
+    coarse for tol, and ``bits`` doubles, so the loop always ends.
+    """
+    n = len(mat)
+    if tol <= 0:
+        raise PreconditionError("perron_root needs a positive tolerance")
+    if n == 0:
+        raise PreconditionError("perron_root needs an irreducible matrix")
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in mat]
+    # irreducible: state 0 reaches every state, and every state reaches 0
+    back: List[List[int]] = [[] for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, _ in row:
+            back[j].append(i)
+    for graph in ([[j for j, _ in row] for row in rows], back):
+        seen = {0}
+        todo = [0]
+        while todo:
+            for j in graph[todo.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        if len(seen) < n:
+            raise PreconditionError("perron_root needs an irreducible matrix")
+    if n == 1:
+        return RatInterval.point(Fraction(mat[0][0]))
+    # A as a sum of selection layers: the k-th unit in row i sits in column
+    # layers[k][i], and index n reads a padding 0 kept at the end of u, so
+    # (A u)_i = sum_k u[layers[k][i]] runs as C-level maps
+    layers: List[List[int]] = []
+    for i, row in enumerate(rows):
+        cols = [j for j, a in row for _ in range(a)]
+        for k, j in enumerate(cols):
+            if k == len(layers):
+                layers.append([n] * n)
+            layers[k][i] = j
+    bits = (tol.denominator // tol.numerator).bit_length() + 16
+    u = [1 << bits] * n + [0]
+    # bracket lo_n/lo_d <= root of A + I <= hi_n/hi_d
+    lo_n, lo_d = 1, 1
+    hi_n, hi_d = len(layers) + 1, 1
+    stalled = 0
+    step = 0
+    while True:
+        w = u
+        for layer in layers:
+            w = map(add, w, map(u.__getitem__, layer))
+        w = list(w)
+        step += 1
+        if step % 8 == 0:  # certify every 8 steps
+            # argmin and argmax of w_i / u_i by cross-multiplication
+            wa, ua = wb, ub = w[0], u[0]
+            for wi, ui in zip(w, u):
+                if wi * ua < wa * ui:
+                    wa, ua = wi, ui
+                elif wi * ub > wb * ui:
+                    wb, ub = wi, ui
+            improved = False
+            if wa * lo_d > lo_n * ua:
+                lo_n, lo_d = wa, ua
+                improved = True
+            if wb * hi_d < hi_n * ub:
+                hi_n, hi_d = wb, ub
+                improved = True
+            width_n, width_d = hi_n * lo_d - lo_n * hi_d, hi_d * lo_d
+            if width_n * tol.denominator <= tol.numerator * width_d:
+                return RatInterval(Fraction(lo_n - lo_d, lo_d), Fraction(hi_n - hi_d, hi_d))
+            # exact power iteration only ever tightens the quotients, so a
+            # check that improves neither bound means rounding noise has
+            # caught up; a slowly shrinking bracket is not a stall
+            if not improved:
+                stalled += 1
+                if stalled == 2:
+                    bits *= 2
+                    stalled = 0
+            shift = max(w).bit_length() - bits
+            if shift > 0:
+                w = [(x >> shift) or 1 for x in w]
+        w.append(0)
+        u = w
 
 
 # ---------------------------------------------------------------------------

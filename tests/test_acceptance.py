@@ -9,8 +9,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from betahole.base_solver import (
     alpha_from_beta,
     beta_from_alpha,
@@ -26,7 +24,7 @@ from betahole.lyndon_intervals import (
     plateaus,
 )
 from betahole.seq_core import EPSeq, eps, periodic, pi_beta, seq_le, seq_lt, word_zeros
-from betahole.substitution import bullet, compose_chain, phi, phi_inverse, sandwich_points
+from betahole.substitution import bullet, phi, phi_inverse, sandwich_points
 from betahole.survivor_shift import (
     build_automaton,
     entropy,
@@ -42,7 +40,7 @@ from betahole.word_combinatorics import (
     lyndon_words,
     xi,
 )
-from oracles import count_words_oracle, essential_part, nesting_or_disjoint, oracle_words
+from oracles import count_words, count_words_oracle, essential_part, nesting_or_disjoint, oracle_words
 
 
 def report(number, text):
@@ -124,7 +122,7 @@ def test_criterion_03_golden_mean():
     while len(fib) < 22:
         fib.append(fib[-1] + fib[-2])
     for n in range(1, 19):
-        auto_count = aut.count_words(n)
+        auto_count = count_words(aut, n)
         assert auto_count == fib[n + 1]  # B_n = F_{n+2}, F_1 = F_2 = 1
         assert auto_count == count_words_oracle(lower, upper, n)
     report(3, "golden-mean entropy within 1e-9; Fibonacci counts exact to n=18")

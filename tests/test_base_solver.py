@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betahole.base_solver import (
-    BetaSpec,
+    _excess_poly,
     alpha_from_beta,
     beta_from_alpha,
     detect_eventually_periodic,
@@ -162,6 +162,16 @@ class TestBisectionProperty:
     def test_long_periods(self, alpha, tol):
         assert is_admissible_alpha(alpha)
         self.check(alpha, tol)
+
+
+@settings(max_examples=100, deadline=None)
+@given(admissible_alphas())
+def test_excess_poly_has_leading_coefficient_minus_one(alpha):
+    # beta_from_alpha never meets f(mid / 2^k) == 0, so it has no exit for
+    # it: f is -1 times a monic integer polynomial, so every rational root
+    # of f is an integer (rational root theorem), and every bisection
+    # midpoint is an odd multiple of 2^-k with k >= 1 in (1, 2)
+    assert _excess_poly(alpha)[0] == -1
 
 
 def random_admissible_alpha(rng, max_period=8) -> EPSeq:

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -6,7 +5,6 @@ import pytest
 
 from betahole.base_solver import beta_from_alpha, is_greedy_admissible
 from betahole.classifier import (
-    ClassRecord,
     Position,
     classify,
     endpoint_alpha,
@@ -15,7 +13,6 @@ from betahole.classifier import (
     right_alpha,
     star_alpha,
     tau,
-    tau_greedy_seq,
     theta,
 )
 from betahole.seq_core import EPSeq, eps, periodic, pi_beta_at, seq_le, word_zeros

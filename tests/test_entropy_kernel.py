@@ -2,19 +2,22 @@
 root and the fixed-point logarithm, each against an independent oracle.
 
 The oracles are the earlier production routines: float power iteration
-certified by exact Collatz-Wielandt quotients on a rounded vector, and the
+certified by exact Collatz-Wielandt quotients on a rounded vector, the
+dense integer kernel on A + I (``oracles.perron_root_dense``), and the
 recursive Fraction series for log with an explicit tail bound.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from betahole.errors import PreconditionError
 from betahole.seq_core import RatInterval, log_interval
-from betahole.survivor_shift import ENTROPY_TOL, perron_root
+from betahole.survivor_shift import ENTROPY_TOL, _period, perron_root
+from oracles import perron_root_dense, succ_lists
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -127,6 +130,71 @@ def irreducible_matrices(draw, max_n=12, max_entry=2):
     return mat
 
 
+def permuted(draw, n, edges):
+    """Dense matrix of the edge multiset on n states, relabelled by a
+    random permutation."""
+    order = draw(st.permutations(range(n)))
+    mat = [[0] * n for _ in range(n)]
+    for i, j in edges:
+        mat[order[i]][order[j]] += 1
+    return mat
+
+
+def is_primitive(mat):
+    """Some power of A is positive; A^((n-1)^2 + 1) suffices (Wielandt)."""
+    n = len(mat)
+    reach = [[bool(a) for a in row] for row in mat]
+    power = reach
+    for _ in range((n - 1) ** 2):
+        power = [[any(p and reach[k][j] for k, p in enumerate(row)) for j in range(n)] for row in power]
+    return all(all(row) for row in power)
+
+
+@st.composite
+def block_cyclic_edges(draw, period):
+    """States in ``period`` blocks, every edge from block k to block k + 1
+    (mod period).  The first state of each block reaches all of the next
+    block, and all of a block reaches the next first state, so the graph is
+    strongly connected, and the cycle through the first states has length
+    ``period``: the period is exactly ``period``."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=period, max_size=period))
+    blocks, n = [], 0
+    for size in sizes:
+        blocks.append(list(range(n, n + size)))
+        n += size
+    edges = []
+    for k, block in enumerate(blocks):
+        nxt = blocks[(k + 1) % period]
+        edges += [(block[0], j) for j in nxt] + [(i, nxt[0]) for i in block[1:]]
+        edges += draw(st.lists(st.tuples(st.sampled_from(block), st.sampled_from(nxt)), max_size=4))
+    return n, edges, blocks
+
+
+@st.composite
+def aperiodic_matrices(draw):
+    mat = draw(irreducible_matrices(max_n=8))
+    assume(is_primitive(mat))
+    return mat, 1
+
+
+@st.composite
+def periodic_matrices(draw):
+    period = draw(st.integers(2, 5))
+    n, edges, _ = draw(block_cyclic_edges(period))
+    return permuted(draw, n, edges), period
+
+
+@st.composite
+def nearly_periodic_matrices(draw):
+    """A period-2 graph plus one chord inside a block: the chord closes an
+    odd cycle, so the period is 1 and the steps run on A, which converge
+    slowly while A keeps an eigenvalue near -lambda."""
+    n, edges, blocks = draw(block_cyclic_edges(2))
+    block = draw(st.sampled_from(blocks))
+    edges.append((draw(st.sampled_from(block)), draw(st.sampled_from(block))))
+    return permuted(draw, n, edges), 1
+
+
 positive_rationals = st.fractions(min_value=0, max_value=4, max_denominator=10**12).filter(lambda f: f > 0)
 tolerances = st.one_of(
     st.just(Fraction(1, 10**32)),
@@ -142,7 +210,7 @@ tolerances = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(irreducible_matrices())
 def test_perron_root_meets_tol_and_oracle(mat):
-    iv = perron_root(mat)
+    iv = perron_root(succ_lists(mat))
     assert iv.width() <= ENTROPY_TOL
     assert meets(iv, perron_oracle(mat))
     # exact: the characteristic polynomial is >= 0 right of its largest
@@ -156,31 +224,62 @@ def test_perron_root_meets_tol_and_oracle(mat):
 @given(irreducible_matrices(max_n=6, max_entry=5), st.integers(1, 120))
 def test_perron_root_any_tolerance(mat, k):
     tol = Fraction(1, 2**k)
-    iv = perron_root(mat, tol)
+    iv = perron_root(succ_lists(mat), tol)
     assert iv.width() <= tol
     assert meets(iv, perron_oracle(mat))
 
 
+@pytest.mark.parametrize("family", [aperiodic_matrices, periodic_matrices, nearly_periodic_matrices],
+                         ids=["aperiodic", "periodic", "nearly-periodic"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_perron_root_against_dense_oracle(family, data):
+    # aperiodic matrices take power steps on A, periodic ones on A + I
+    mat, period = data.draw(family())
+    succ = succ_lists(mat)
+    assert _period(succ) == period
+    iv = perron_root(succ)
+    assert meets(iv, perron_root_dense(mat))
+    assert iv.width() <= ENTROPY_TOL
+    assert charpoly_sign(mat, iv.hi) >= 0
+    assert charpoly_sign(mat, iv.lo) <= 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=3),
+       st.data())
+def test_period_of_cycle_with_chords(length, chords, data):
+    # an n-cycle with chords i -> j: each chord closes a cycle of length
+    # (i - j) mod n + 1, and these lengths with n generate every cycle
+    chords = [(i % length, j % length) for i, j in chords]
+    edges = [(i, (i + 1) % length) for i in range(length)] + chords
+    expected = length
+    for i, j in chords:
+        expected = math.gcd(expected, (i - j) % length + 1)
+    assert _period(succ_lists(permuted(data.draw, length, edges))) == expected
+
+
 def test_perron_root_cycle_is_exact():
-    iv = perron_root([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    iv = perron_root(succ_lists([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
     assert iv.lo == iv.hi == 1
 
 
 def test_perron_root_small_spectral_gap():
-    # a 40-cycle with one chord: |lambda_2 + 1| / (lambda + 1) is close to
-    # 1, so the bracket shrinks slowly without being stalled
+    # a 40-cycle with one chord closing a 38-cycle: period 2, so the steps
+    # run on A + I, and |lambda_2 + 1| / (lambda + 1) is close to 1, so the
+    # bracket shrinks slowly without being stalled
     mat = [[1 if j == (i + 1) % 40 else 0 for j in range(40)] for i in range(40)]
     mat[0][3] += 1
-    iv = perron_root(mat)
+    iv = perron_root(succ_lists(mat))
     assert iv.width() <= ENTROPY_TOL
     assert charpoly_sign(mat, iv.hi) >= 0 and charpoly_sign(mat, iv.lo) <= 0
 
 
 def test_perron_root_rejects_reducible():
     with pytest.raises(PreconditionError):
-        perron_root([[1, 1], [0, 1]])
+        perron_root(succ_lists([[1, 1], [0, 1]]))
     with pytest.raises(PreconditionError):
-        perron_root([[1, 1], [1, 0]], Fraction(0))
+        perron_root(succ_lists([[1, 1], [1, 0]]), Fraction(0))
     for mat in (
         [[1, 0, 1], [1, 0, 1], [1, 0, 1]],  # zero column: state 1 is never entered
         [[1, 1], [0, 0]],  # zero row
@@ -188,7 +287,7 @@ def test_perron_root_rejects_reducible():
         [],
     ):
         with pytest.raises(PreconditionError):
-            perron_root(mat)
+            perron_root(succ_lists(mat))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from betahole import survivor_shift
 from betahole.errors import InvariantError
 from betahole.seq_core import EPSeq, RatInterval, periodic, pi_beta_at, seq_le, word_zeros
 from betahole.survivor_shift import ShiftAutomaton, build_automaton, entropy, perron_root, spectral_radius
-from oracles import build_automaton_frozenset, pi_beta_fraction
+from oracles import build_automaton_frozenset, pi_beta_fraction, succ_lists
 
 words = st.text(alphabet="01", max_size=5)
 periods = st.text(alphabet="01", min_size=1, max_size=6)
@@ -62,7 +62,7 @@ def dense_perron(aut):
     out = None
     for comp in classes:
         comp = sorted(comp)
-        root = perron_root([[mat[a][b] for b in comp] for a in comp])
+        root = perron_root(succ_lists([[mat[a][b] for b in comp] for a in comp]))
         out = root if out is None else out.max(root)
     return out, len(classes)
 

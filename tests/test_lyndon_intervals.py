@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +22,7 @@ from betahole.lyndon_intervals import (
 )
 from betahole.seq_core import EPSeq, eps, periodic, pi_beta, seq_ge, seq_key, seq_le, seq_lt, shift, word_zeros
 from betahole.windows import build_windows, maximal_windows
-from betahole.word_combinatorics import cyclic_max, is_lyndon, lyndon_words
+from betahole.word_combinatorics import cyclic_max, lyndon_words
 from oracles import (
     beta_lyndon_loop,
     ebli_contains,

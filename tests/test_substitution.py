@@ -3,7 +3,7 @@ import random
 import pytest
 
 from betahole.errors import NotInLambda, NotInRange, PreconditionError
-from betahole.seq_core import eps, lex_cmp, periodic, seq_lt, shift, word_zeros
+from betahole.seq_core import eps, lex_cmp, periodic, shift, word_zeros
 from betahole.substitution import (
     bullet,
     compose_chain,

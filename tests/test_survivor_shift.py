@@ -6,7 +6,7 @@ import pytest
 
 from betahole.base_solver import beta_from_alpha
 from betahole.errors import EmptyShift, PreconditionError
-from betahole.seq_core import EPSeq, RatInterval, eps, periodic, word_zeros
+from betahole.seq_core import EPSeq, RatInterval, periodic, word_zeros
 from betahole.survivor_shift import (
     build_automaton,
     dimension,
@@ -17,8 +17,8 @@ from betahole.survivor_shift import (
     perron_root,
     spectral_radius,
 )
-from betahole.word_combinatorics import cyclic_max, farey_level
-from oracles import count_words_oracle, descending_check, essential_part, oracle_words
+from betahole.word_combinatorics import cyclic_max
+from oracles import count_words, count_words_oracle, descending_check, essential_part, oracle_words, succ_lists
 
 GOLDEN_MEAN_H = math.log((1 + 5**0.5) / 2)
 
@@ -36,7 +36,7 @@ class TestBuildAutomaton:
         assert not aut.is_empty()
         # counts are Fibonacci: B_n = F_{n+2}
         for n in range(1, 14):
-            assert aut.count_words(n) == fib(n + 2)
+            assert count_words(aut, n) == fib(n + 2)
 
     def test_sandwich_is_pure_cycle(self):
         aut = build_automaton(word_zeros("011"), periodic("110"))
@@ -46,14 +46,14 @@ class TestBuildAutomaton:
 
     def test_full_shift(self):
         aut = build_automaton(periodic("0"), periodic("1"))
-        assert aut.count_words(10) == 1024
+        assert count_words(aut, 10) == 1024
 
     def test_empty_when_bounds_pinch(self):
         # lower = upper = (10)^inf: every tail would have to equal (10)^inf,
         # which the shift of (10)^inf already violates, so Sigma is empty
         aut = build_automaton(periodic("10"), periodic("10"))
         assert aut.is_empty()
-        assert aut.count_words(6) == 0
+        assert count_words(aut, 6) == 0
         assert count_words_oracle(periodic("10"), periodic("10"), 6) == 0
 
     def test_rejects_reversed_bounds(self):
@@ -92,7 +92,7 @@ class TestEntropy:
         # |log(B_n)/n - h| <= C/n along n = 8..20
         aut = build_automaton(periodic("01"), periodic("1"))
         h = float(entropy(aut).h.mid())
-        errs = [abs(math.log(aut.count_words(n)) / n - h) * n for n in range(8, 21)]
+        errs = [abs(math.log(count_words(aut, n)) / n - h) * n for n in range(8, 21)]
         assert max(errs) < 2.0
 
     def test_entropy_monotone_in_lower_bound(self):
@@ -118,11 +118,11 @@ class TestEntropy:
 
 class TestPerron:
     def test_fibonacci_matrix(self):
-        iv = perron_root([[1, 1], [1, 0]])
+        iv = perron_root(succ_lists([[1, 1], [1, 0]]))
         assert abs(float(iv.mid()) - (1 + 5**0.5) / 2) < 1e-13
 
     def test_permutation_matrix_exact(self):
-        iv = perron_root([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        iv = perron_root(succ_lists([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
         assert iv.lo == iv.hi == 1
 
     def test_spectral_radius_reducible(self):
@@ -255,4 +255,4 @@ class TestMinimize:
             mini = minimize(aut)
             assert mini.n_states <= aut.n_states
             for n in range(1, 10):
-                assert mini.count_words(n) == aut.count_words(n)
+                assert count_words(mini, n) == count_words(aut, n)

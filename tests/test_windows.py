@@ -5,7 +5,7 @@ import pytest
 from betahole.classifier import classify
 from betahole.errors import PreconditionError
 from betahole.lyndon_intervals import ebli, in_E_beta, is_beta_lyndon
-from betahole.seq_core import EPSeq, eps, periodic, seq_le, seq_lt, shift
+from betahole.seq_core import EPSeq, eps, periodic, seq_lt
 from betahole.substitution import phi
 from betahole.survivor_shift import entropy_of_bounds, is_transitive_sofic, build_automaton
 from betahole.windows import (
@@ -14,7 +14,6 @@ from betahole.windows import (
     is_transitive,
     maximal_windows,
     transitive_core,
-    window_contained,
 )
 
 A_EX_A = EPSeq.parse("1110100110111(001)")  # 111 01 00110111 (001)^inf
