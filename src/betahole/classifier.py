@@ -23,7 +23,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .base_solver import BetaSpec, TPoint, beta_from_alpha, t_point_value
+from .base_solver import BetaSpec, TPoint, beta_from_alpha, check_admissible_alpha, t_point_value
 from .errors import DepthExceeded, InvariantError, PreconditionError
 from .seq_core import (
     EPSeq,
@@ -128,8 +128,6 @@ def _locate_factor(alpha: EPSeq, prefix_chain: Tuple[str, ...], max_steps: int):
 def locate_farey_interval(alpha: EPSeq, max_steps: int = 64):
     """The Farey word s with L(s)^inf <= alpha <= L(s)^+ s^inf, with a
     boundary flag, or None (alpha = 1^inf only)."""
-    from .base_solver import check_admissible_alpha
-
     check_admissible_alpha(alpha)
     if alpha == ONE:
         return None
@@ -138,8 +136,6 @@ def locate_farey_interval(alpha: EPSeq, max_steps: int = 64):
 
 def classify(alpha: EPSeq, max_depth: int = 64) -> ClassRecord:
     """Full renormalization classification of an admissible alpha."""
-    from .base_solver import check_admissible_alpha
-
     check_admissible_alpha(alpha)
     if alpha == ONE:
         return ClassRecord((), Position.TWO, alpha)

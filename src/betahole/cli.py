@@ -17,8 +17,9 @@ import sys
 from fractions import Fraction
 
 from . import base_solver, classifier, lyndon_intervals, survivor_shift, windows
-from .errors import BetaholeError, DepthExceeded, PreconditionError
-from .seq_core import EPSeq, RatInterval, format_interval, log_interval, periodic, seq_key
+from .errors import BetaholeError, DepthExceeded
+from .seq_core import EPSeq, RatInterval, format_interval, log_interval, periodic, seq_key, seq_lt
+from .word_combinatorics import lyndon_words
 
 SCHEMA = "betahole/1"
 
@@ -142,20 +143,12 @@ def cmd_windows(args) -> int:
 
 def cmd_transitive(args) -> int:
     alpha = _alpha_arg(args.alpha)
-    record = classifier.classify(alpha)
-    verdict = windows.is_transitive(args.word, alpha, record)
-    payload = {
-        "alpha": str(alpha),
-        "word": args.word,
-        "verdict": verdict.verdict.value,
-        "reason": verdict.reason,
-    }
-    try:
-        core = windows.transitive_core(args.word, alpha, record)
-        payload["core"] = {"R": core.R, "what": core.w_hat, "alphahat": str(core.alpha_hat)}
-    except PreconditionError:
-        payload["core"] = None  # inside a window: no full-entropy core exists
-    _emit(payload)
+    verdict = windows.is_transitive(args.word, alpha)
+    core = verdict.core  # None inside a window: no full-entropy core exists
+    if core is not None:
+        core = {"R": core.R, "what": core.w_hat, "alphahat": str(core.alpha_hat)}
+    _emit({"alpha": str(alpha), "word": args.word, "verdict": verdict.verdict.value,
+           "reason": verdict.reason, "core": core})
     return 0
 
 
@@ -186,8 +179,6 @@ def cmd_staircase(args) -> int:
     spec = base_solver.beta_from_alpha(alpha, args.tol)
     record = classifier.classify(alpha)
     tau_greedy = classifier.tau_greedy_seq(record)
-    from .seq_core import seq_lt
-    from .word_combinatorics import lyndon_words
 
     # words of each length are scanned once, shortest first, until
     # enough points lie below tau

@@ -12,6 +12,7 @@ with m the first such shift.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import List, Optional, Tuple
 
 from .base_solver import BetaSpec, beta_from_alpha, is_greedy_admissible
@@ -33,7 +34,8 @@ from .seq_core import (
     word_zeros,
 )
 from .substitution import bullet, compose_chain
-from .word_combinatorics import is_lyndon, lyndon_words
+from .survivor_shift import entropy_of_bounds
+from .word_combinatorics import cyclic_max, is_farey, is_lyndon, lyndon_words
 
 
 def is_beta_lyndon(w: str, alpha: EPSeq) -> bool:
@@ -179,8 +181,6 @@ def plateaus(
         stack.append(e)
     out: List[Plateau] = []
     if with_entropy:
-        from .survivor_shift import entropy_of_bounds
-
         for e in maximal:
             res = entropy_of_bounds(e.right_seq, alpha)
             out.append(Plateau("ebli", e, res.h))
@@ -202,20 +202,13 @@ def exceptional_points(chain, which: str) -> List[EPSeq]:
     """E_beta \\ B_beta at an endpoint of a basic interval, in decreasing
     order: r_1^inf, (r_1.r_2)^inf, ... (k-1 points at the left endpoint,
     k at the star and right endpoints)."""
-    from .word_combinatorics import is_farey
-
     chain = list(chain)
     if not chain:
         raise PreconditionError("exceptional_points needs a nonempty chain")
     if not all(is_farey(r) and len(r) >= 2 for r in chain):
         raise PreconditionError("chain factors must be Farey words of length >= 2")
     stop = len(chain) - 1 if which in ("l", "ell", "left") else len(chain)
-    out = []
-    word = ""
-    for i in range(stop):
-        word = chain[i] if not word else bullet(word, chain[i])
-        out.append(periodic(word))
-    return out
+    return list(islice(einf_exceptional_stream(chain), stop))
 
 
 def einf_exceptional_stream(farey_words):
@@ -236,8 +229,6 @@ def gap_point(chain, alpha: EPSeq, M: int) -> EPSeq:
     record = classify(alpha)
     if record.position is not Position.INTERIOR or record.composed != word:
         raise PreconditionError("gap_point needs beta in the interior of I^S")
-    from .word_combinatorics import cyclic_max
-
     L = cyclic_max(word)
     j = next(i for i in range(len(word)) if word[i:] + word[:i] == L)
     u = word[j:]

@@ -353,7 +353,7 @@ def perron_root(succ, tol: Fraction = ENTROPY_TOL) -> RatInterval:
         u = w
 
 
-def _max_scc_root(succ, tol: Fraction) -> Optional[RatInterval]:
+def _max_scc_root(succ) -> Optional[RatInterval]:
     """Maximum Perron root over the nontrivial SCCs of the graph with
     successor collections succ (a target listed k times is an entry k);
     each SCC goes to ``perron_root`` as its successor lists, relabelled in
@@ -363,33 +363,32 @@ def _max_scc_root(succ, tol: Fraction) -> Optional[RatInterval]:
         comp.sort()
         pos = {v: k for k, v in enumerate(comp)}
         sub = [[pos[w] for w in succ[v] if w in pos] for v in comp]
-        root = perron_root(sub, tol)
+        root = perron_root(sub, ENTROPY_TOL)
         out = root if out is None else out.max(root)
     return out
 
 
-def spectral_radius(mat: List[List[int]], tol: Fraction = ENTROPY_TOL) -> RatInterval:
+def spectral_radius(mat: List[List[int]]) -> RatInterval:
     """Perron root of a general nonnegative integer matrix: the maximum
     of the per-SCC roots, 0 for a nilpotent matrix."""
     succ = [[j for j, a in enumerate(row) if a for _ in range(a)] for row in mat]
-    root = _max_scc_root(succ, tol)
+    root = _max_scc_root(succ)
     return RatInterval.point(Fraction(0)) if root is None else root
 
 
 @dataclass(frozen=True)
 class EntropyResult:
-    """Entropy enclosure (natural log), Perron root enclosure, and the
-    Hausdorff dimension h / log beta when a beta enclosure is supplied."""
+    """Entropy enclosure (natural log) and the Perron root enclosure,
+    of width at most ENTROPY_TOL, that it is the log of."""
 
     h: RatInterval
     perron: RatInterval
-    dim: Optional[RatInterval] = None
 
 
-def entropy(aut: ShiftAutomaton, tol: Fraction = ENTROPY_TOL) -> EntropyResult:
+def entropy(aut: ShiftAutomaton) -> EntropyResult:
     if aut.is_empty():
         raise EmptyShift("entropy of the empty shift is undefined")
-    lam = _max_scc_root([out.values() for out in aut.edges], tol)
+    lam = _max_scc_root([out.values() for out in aut.edges])
     # an out-trimmed nonempty automaton has a cycle, and a nontrivial SCC
     # of a 0/1 matrix has Perron root >= 1
     if lam is None:
@@ -407,13 +406,10 @@ def dimension(result: EntropyResult, beta_enclosure: RatInterval) -> RatInterval
     return result.h.divide(log_interval(beta_enclosure))
 
 
-def entropy_of_bounds(lower: EPSeq, upper: EPSeq, beta_enclosure: Optional[RatInterval] = None,
-                      tol: Fraction = ENTROPY_TOL) -> EntropyResult:
-    aut = build_automaton(lower, upper)
-    res = entropy(aut, tol)
-    if beta_enclosure is not None:
-        return EntropyResult(h=res.h, perron=res.perron, dim=dimension(res, beta_enclosure))
-    return res
+def entropy_of_bounds(lower: EPSeq, upper: EPSeq) -> EntropyResult:
+    """Entropy of Sigma_{lower,upper}; pass the result to ``dimension``
+    for h / log beta."""
+    return entropy(build_automaton(lower, upper))
 
 
 # ---------------------------------------------------------------------------
@@ -422,27 +418,28 @@ def entropy_of_bounds(lower: EPSeq, upper: EPSeq, beta_enclosure: Optional[RatIn
 
 @dataclass(frozen=True)
 class TransitivityReport:
-    """SCC-based verdict plus the bounded word-level cross-check.
+    """The automaton verdict and the word-level cross-check.
 
-    The primary verdict is the automaton one: the minimized presentation
-    has a single essential strongly connected component and every word of
-    the shift can be read inside it.  The word-level check searches for
-    bounded connectors between sampled word pairs, which is the direct
-    reading of the transitivity definition; both are reported.
+    ``transitive``: the minimized presentation has a single essential
+    strongly connected component and every word of the shift can be read
+    inside it.  ``word_level``: every pair (u, w) of words of length
+    WORD_CHECK_LEN has a connector v with u v w in the language, which is
+    the direct reading of the transitivity definition on short words.
+    Both are False for the empty shift.
     """
 
     transitive: bool
-    scc_irreducible: bool
-    word_level: Optional[bool] = None
+    word_level: bool
 
 
 def is_transitive_sofic(aut: ShiftAutomaton) -> TransitivityReport:
     if aut.is_empty():
-        return TransitivityReport(False, False, None)
+        return TransitivityReport(False, False)
+    word_level = _word_level_check(aut)
     mini = minimize(aut)
     comps = _nontrivial_sccs([out.values() for out in mini.edges])
     if len(comps) != 1:
-        return TransitivityReport(False, False, _word_level_check(aut, WORD_CHECK_LEN))
+        return TransitivityReport(False, word_level)
     core = set(comps[0])
     # every word readable from start must also be readable inside the core:
     # track (state, set of core states where the word is alive)
@@ -461,37 +458,29 @@ def is_transitive_sofic(aut: ShiftAutomaton) -> TransitivityReport:
             if st not in seen:
                 seen.add(st)
                 todo.append(st)
-    word = _word_level_check(aut, WORD_CHECK_LEN)
-    return TransitivityReport(ok, ok, word)
+    return TransitivityReport(ok, word_level)
 
 
-def _word_level_check(aut: ShiftAutomaton, d: int) -> bool:
-    """For all word pairs (u, w) of length d, a connector v with
-    u v w legal exists, |v| bounded by 4 |Q| + 8."""
-    if aut.is_empty():
-        return False
+def _word_level_check(aut: ShiftAutomaton) -> bool:
+    """For all word pairs (u, w) of length WORD_CHECK_LEN some state
+    reachable from the end of u reads w (a nonempty automaton)."""
+    edges = aut.edges
 
     def run(state, word):
         for c in word:
-            state = aut.edges[state].get(c)
+            state = edges[state].get(c)
             if state is None:
                 return None
         return state
 
-    words = sorted(aut.words(d))
-    bound = 4 * aut.n_states + 8
-    for u in words:
-        p = run(aut.start, u)
-        if p is None:
+    words = aut.words(WORD_CHECK_LEN)
+    for p in {run(aut.start, u) for u in words}:
+        reach, todo = {p}, [p]
+        for q in todo:
+            for q2 in edges[q].values():
+                if q2 not in reach:
+                    reach.add(q2)
+                    todo.append(q2)
+        if not all(any(run(q, w) is not None for q in reach) for w in words):
             return False
-        reach = {p}
-        frontier = {p}
-        for _ in range(bound):
-            frontier = {q2 for q in frontier for q2 in aut.edges[q].values()} - reach
-            if not frontier:
-                break
-            reach |= frontier
-        for w in words:
-            if not any(run(q, w) is not None for q in reach | {p}):
-                return False
     return True

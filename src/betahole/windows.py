@@ -26,6 +26,7 @@ import enum
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from .base_solver import periodic_alpha_to_greedy_one
 from .classifier import ClassRecord, Position, classify, tau_greedy_seq
 from .errors import InvariantError, PreconditionError
 from .lyndon_intervals import is_beta_lyndon, v_star
@@ -69,14 +70,9 @@ class WindowSet:
     def __iter__(self):
         return iter(self.records)
 
-    def covers(self, x: EPSeq) -> bool:
-        return any(rec.contains_value(x) for rec in self.records)
-
 
 def _scan_sequence(alpha: EPSeq) -> EPSeq:
     if alpha.pre == "":
-        from .base_solver import periodic_alpha_to_greedy_one
-
         return periodic_alpha_to_greedy_one(alpha)
     return alpha
 
@@ -194,57 +190,6 @@ class Verdict(enum.Enum):
 
 
 @dataclass(frozen=True)
-class TransitivityVerdict:
-    verdict: Verdict
-    reason: str
-
-    @property
-    def transitive(self) -> bool:
-        return self.verdict is Verdict.TRANSITIVE
-
-
-def _r1_threshold(chain) -> EPSeq:
-    r1 = chain[0]
-    return eps(minus(r1), cyclic_max(r1))
-
-
-def is_transitive(w: str, alpha: EPSeq, record: Optional[ClassRecord] = None) -> TransitivityVerdict:
-    """Transitivity of the survivor subshift at the right endpoint of the
-    beta-Lyndon interval of w.
-
-    Dispatch: bases in E_L and first-order star endpoints are always
-    transitive; renormalizable endpoint classes are transitive exactly
-    below the first-factor threshold r_1^- L(r_1)^inf; interiors add the
-    window test (and, for chains of length >= 2, the threshold test).
-    """
-    if record is None:
-        record = classify(alpha)
-    if not is_beta_lyndon(w, alpha):
-        raise PreconditionError("%r is not beta-Lyndon here" % (w,))
-    t_r = periodic(w)
-    tau_greedy = tau_greedy_seq(record)
-    if not seq_lt(t_r, tau_greedy):
-        raise PreconditionError("t_R must lie below tau(beta)")
-    pos, depth = record.position, record.depth
-    if pos is Position.TWO or (pos is Position.LEFT and depth == 1):
-        return TransitivityVerdict(Verdict.TRANSITIVE, "base in E_L")
-    if pos is Position.STAR and depth == 1:
-        return TransitivityVerdict(Verdict.TRANSITIVE, "right endpoint of a first-order basic interval")
-    if pos is Position.INTERIOR:
-        if depth >= 2 and not seq_lt(t_r, _r1_threshold(record.chain)):
-            return TransitivityVerdict(Verdict.NOT_TRANSITIVE, "at or above the renormalization threshold")
-        ws = build_windows(alpha, record)
-        for rec in ws.records:
-            if rec.contains_value(t_r):
-                return TransitivityVerdict(Verdict.NOT_TRANSITIVE, "inside non-transitivity window %d" % rec.k)
-        return TransitivityVerdict(Verdict.TRANSITIVE, "outside all non-transitivity windows")
-    # renormalizable endpoint classes: LEFT/STAR of depth >= 2, RIGHT
-    if seq_lt(t_r, _r1_threshold(record.chain)):
-        return TransitivityVerdict(Verdict.TRANSITIVE, "below the renormalization threshold")
-    return TransitivityVerdict(Verdict.NOT_TRANSITIVE, "at or above the renormalization threshold")
-
-
-@dataclass(frozen=True)
 class TransitiveCore:
     """Renormalization data of the full-entropy transitive subshift
     containing b(t_R, beta): K' is the Phi_R image of the survivor set
@@ -255,36 +200,92 @@ class TransitiveCore:
     alpha_hat: EPSeq
 
 
-def transitive_core(w: str, alpha: EPSeq, record: Optional[ClassRecord] = None) -> TransitiveCore:
+@dataclass(frozen=True)
+class TransitivityVerdict:
+    """The verdict and its reason, and the full-entropy transitive core:
+    None exactly when t_R lies in a non-transitivity window."""
+
+    verdict: Verdict
+    reason: str
+    core: Optional[TransitiveCore]
+
+    @property
+    def transitive(self) -> bool:
+        return self.verdict is Verdict.TRANSITIVE
+
+
+def _threshold(s: str) -> EPSeq:
+    """The renormalization threshold s^- L(s)^inf of a chain word s."""
+    return eps(minus(s), cyclic_max(s))
+
+
+def is_transitive(w: str, alpha: EPSeq, record: Optional[ClassRecord] = None) -> TransitivityVerdict:
+    """Transitivity of the survivor subshift at the right endpoint of the
+    beta-Lyndon interval of w, with its transitive core.
+
+    Dispatch: bases in E_L and first-order star endpoints are always
+    transitive; renormalizable endpoint classes are transitive exactly
+    below the first-factor threshold r_1^- L(r_1)^inf; interiors add the
+    window test (and, for chains of length >= 2, the threshold test,
+    which names the reason first).  The window list is built once, and
+    the core comes from the same record and windows.  PreconditionError
+    unless w is beta-Lyndon and t_R = w^inf lies below tau(beta).
+    """
     if record is None:
         record = classify(alpha)
     if not is_beta_lyndon(w, alpha):
         raise PreconditionError("%r is not beta-Lyndon here" % (w,))
     t_r = periodic(w)
-    chain = record.chain
-    if record.position is Position.INTERIOR and build_windows(alpha, record).covers(t_r):
+    if not seq_lt(t_r, tau_greedy_seq(record)):
+        raise PreconditionError("t_R must lie below tau(beta)")
+    pos, depth = record.position, record.depth
+    window = None
+    if pos is Position.INTERIOR:
+        window = next((rec for rec in build_windows(alpha, record) if rec.contains_value(t_r)), None)
+    core = None if window is not None else _core(w, t_r, alpha, record)
+    if pos is Position.TWO or (pos is Position.LEFT and depth == 1):
+        return TransitivityVerdict(Verdict.TRANSITIVE, "base in E_L", core)
+    if pos is Position.STAR and depth == 1:
+        return TransitivityVerdict(Verdict.TRANSITIVE, "right endpoint of a first-order basic interval", core)
+    # renormalizable endpoint classes (LEFT/STAR of depth >= 2, RIGHT) and
+    # interiors of depth >= 2 test the first-factor threshold
+    if pos is not Position.INTERIOR or depth >= 2:
+        if not seq_lt(t_r, _threshold(record.chain[0])):
+            return TransitivityVerdict(Verdict.NOT_TRANSITIVE, "at or above the renormalization threshold", core)
+        if pos is not Position.INTERIOR:
+            return TransitivityVerdict(Verdict.TRANSITIVE, "below the renormalization threshold", core)
+    if window is not None:
+        return TransitivityVerdict(Verdict.NOT_TRANSITIVE, "inside non-transitivity window %d" % window.k, core)
+    return TransitivityVerdict(Verdict.TRANSITIVE, "outside all non-transitivity windows", core)
+
+
+def transitive_core(w: str, alpha: EPSeq, record: Optional[ClassRecord] = None) -> TransitiveCore:
+    """The core of ``is_transitive(w, alpha, record)``, under the same
+    preconditions; PreconditionError when t_R lies in a non-transitivity
+    window, where no full-entropy core exists."""
+    core = is_transitive(w, alpha, record).core
+    if core is None:
         raise PreconditionError("t_R lies in a non-transitivity window; no full-entropy core")
-    if not chain:
-        return TransitiveCore("", w, alpha)
+    return core
+
+
+def _core(w: str, t_r: EPSeq, alpha: EPSeq, record: ClassRecord) -> TransitiveCore:
+    """The transitive core of t_R = w^inf outside every window."""
+    chain = record.chain
     # the unique i with S_i^- L(S_i)^inf < w^inf < S_{i+1}^- L(S_{i+1})^inf
-    # (thresholds increase with i, so take the largest index cleared)
-    target_i = None
-    for i in range(1, len(chain) + 1):
-        s_i = compose_chain(chain[:i])
-        if seq_lt(eps(minus(s_i), cyclic_max(s_i)), t_r):
-            target_i = i
-        else:
-            break
-    if target_i is None:
+    # (thresholds increase with i, so count the thresholds cleared)
+    i = 0
+    while i < len(chain) and seq_lt(_threshold(compose_chain(chain[: i + 1])), t_r):
+        i += 1
+    if i == 0:
         return TransitiveCore("", w, alpha)
-    R = compose_chain(chain[:target_i])
+    R = compose_chain(chain[:i])
+    alpha_used = alpha
     if record.position is Position.INTERIOR:
         A = _scan_sequence(alpha)
-        threshold = _r1_threshold(chain)
-        n0 = _first_tail_below(A, len(record.composed), threshold)
-        alpha_used = alpha if n0 is None else periodic(minus(A.prefix(n0)))
-    else:
-        alpha_used = alpha
+        n0 = _first_tail_below(A, len(record.composed), _threshold(chain[0]))
+        if n0 is not None:
+            alpha_used = periodic(minus(A.prefix(n0)))
     alpha_hat = phi_inverse(R, alpha_used)
     w_hat, _ = phi_inverse_word(R, w)
     return TransitiveCore(R, w_hat, alpha_hat)

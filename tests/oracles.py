@@ -27,17 +27,27 @@ None of this is imported by the library.
 - ``greedy_admissible_loop`` / ``beta_lyndon_loop`` / ``in_E_beta_loop``:
   the shift loops that ``is_greedy_admissible``, ``is_beta_lyndon`` and
   ``in_E_beta`` once ran inline, over every tail up to n_tails(x).
+- ``transitive_core_separate``: the transitive core computed on its own,
+  with its own window build, as it was before ``windows.is_transitive``
+  returned the core with the verdict; the reference for that core.
+- ``word_level_check_bounded``: the word-level transitivity check with
+  its bounded connector search, the reference for the reachability
+  closure in ``survivor_shift._word_level_check``.
 """
 
 from fractions import Fraction
 from operator import add
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from betahole.base_solver import check_admissible_alpha
+from betahole.base_solver import check_admissible_alpha, periodic_alpha_to_greedy_one
+from betahole.classifier import Position, classify
 from betahole.errors import PreconditionError
-from betahole.seq_core import EPSeq, RatInterval, n_tails, periodic, seq_ge, seq_le, seq_lt, shift
+from betahole.lyndon_intervals import is_beta_lyndon
+from betahole.seq_core import EPSeq, RatInterval, eps, minus, n_tails, periodic, seq_ge, seq_le, seq_lt, shift
+from betahole.substitution import compose_chain, phi_inverse, phi_inverse_word
 from betahole.survivor_shift import ENTROPY_TOL, ShiftAutomaton, _nontrivial_sccs
-from betahole.word_combinatorics import is_lyndon
+from betahole.windows import TransitiveCore, build_windows
+from betahole.word_combinatorics import cyclic_max, is_lyndon
 
 
 def _fold(i: int, pre: int, per: int) -> int:
@@ -391,3 +401,103 @@ def in_E_beta_loop(b: EPSeq, alpha: EPSeq) -> bool:
     if not greedy_admissible_loop(b, alpha):
         raise PreconditionError("%s is not a greedy expansion for this base" % (b,))
     return all(seq_ge(shift(b, n), b) for n in range(1, n_tails(b) + 1))
+
+
+# ---------------------------------------------------------------------------
+# the transitive core on its own window build
+
+
+def _r1_threshold(chain) -> EPSeq:
+    r1 = chain[0]
+    return eps(minus(r1), cyclic_max(r1))
+
+
+def _scan_sequence(alpha: EPSeq) -> EPSeq:
+    if alpha.pre == "":
+        return periodic_alpha_to_greedy_one(alpha)
+    return alpha
+
+
+def _first_tail_below(A: EPSeq, j1: int, threshold: EPSeq) -> Optional[int]:
+    limit = len(A.pre) + len(A.per) + j1
+    for n in range(j1, limit + 1):
+        if seq_lt(shift(A, n), threshold):
+            return n
+    return None
+
+
+def transitive_core_separate(w: str, alpha: EPSeq, record=None) -> TransitiveCore:
+    """The core with its own checks and window build.  It does not test
+    t_R < tau, so a word at or above tau may fail inside
+    ``phi_inverse_word`` with NotInRange.  (The window test was
+    ``WindowSet.covers``, written out here.)"""
+    if record is None:
+        record = classify(alpha)
+    if not is_beta_lyndon(w, alpha):
+        raise PreconditionError("%r is not beta-Lyndon here" % (w,))
+    t_r = periodic(w)
+    chain = record.chain
+    if record.position is Position.INTERIOR and any(
+        rec.contains_value(t_r) for rec in build_windows(alpha, record).records
+    ):
+        raise PreconditionError("t_R lies in a non-transitivity window; no full-entropy core")
+    if not chain:
+        return TransitiveCore("", w, alpha)
+    # the unique i with S_i^- L(S_i)^inf < w^inf < S_{i+1}^- L(S_{i+1})^inf
+    # (thresholds increase with i, so take the largest index cleared)
+    target_i = None
+    for i in range(1, len(chain) + 1):
+        s_i = compose_chain(chain[:i])
+        if seq_lt(eps(minus(s_i), cyclic_max(s_i)), t_r):
+            target_i = i
+        else:
+            break
+    if target_i is None:
+        return TransitiveCore("", w, alpha)
+    R = compose_chain(chain[:target_i])
+    if record.position is Position.INTERIOR:
+        A = _scan_sequence(alpha)
+        threshold = _r1_threshold(chain)
+        n0 = _first_tail_below(A, len(record.composed), threshold)
+        alpha_used = alpha if n0 is None else periodic(minus(A.prefix(n0)))
+    else:
+        alpha_used = alpha
+    alpha_hat = phi_inverse(R, alpha_used)
+    w_hat, _ = phi_inverse_word(R, w)
+    return TransitiveCore(R, w_hat, alpha_hat)
+
+
+# ---------------------------------------------------------------------------
+# the word-level transitivity check with a bounded connector search
+
+
+def word_level_check_bounded(aut: ShiftAutomaton, d: int) -> bool:
+    """For all word pairs (u, w) of length d, a connector v with
+    u v w legal exists, |v| bounded by 4 |Q| + 8."""
+    if aut.is_empty():
+        return False
+
+    def run(state, word):
+        for c in word:
+            state = aut.edges[state].get(c)
+            if state is None:
+                return None
+        return state
+
+    words = sorted(aut.words(d))
+    bound = 4 * aut.n_states + 8
+    for u in words:
+        p = run(aut.start, u)
+        if p is None:
+            return False
+        reach = {p}
+        frontier = {p}
+        for _ in range(bound):
+            frontier = {q2 for q in frontier for q2 in aut.edges[q].values()} - reach
+            if not frontier:
+                break
+            reach |= frontier
+        for w in words:
+            if not any(run(q, w) is not None for q in reach | {p}):
+                return False
+    return True

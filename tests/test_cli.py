@@ -182,15 +182,15 @@ class TestInProcess:
             assert (code, out) == (proc.returncode, proc.stdout), (argv, precision)
 
     def test_transitive_core_invariant_error_exits_3(self, capsys, monkeypatch):
-        # only "inside a window" (PreconditionError) means no core; a
-        # library bug must not print "core": null with exit 0
+        # only "inside a window" means no core; a library bug in the core
+        # must not print "core": null with exit 0
         from betahole import cli, windows
         from betahole.errors import InvariantError
 
         def broken(*args, **kwargs):
             raise InvariantError("broken core")
 
-        monkeypatch.setattr(windows, "transitive_core", broken)
+        monkeypatch.setattr(windows, "_core", broken)
         code = cli.run(["transitive", "--alpha", "(1110101100)", "--word", "01011"])
         captured = capsys.readouterr()
         assert code == 3
@@ -198,8 +198,7 @@ class TestInProcess:
         assert "broken core" in captured.err
 
     def test_transitive_classifies_once(self, capsys, monkeypatch):
-        # the record classified by the command reaches build_windows in
-        # both is_transitive and transitive_core
+        # the verdict and the core come from one classification
         from betahole import classifier, cli
 
         real = classifier.classify
@@ -212,8 +211,8 @@ class TestInProcess:
         for name, module in list(sys.modules.items()):
             if name.startswith("betahole") and getattr(module, "classify", None) is real:
                 monkeypatch.setattr(module, "classify", counting)
-        # (1110101100) lies in the interior of a basic interval, so both
-        # calls build the window list
+        # (1110101100) lies in the interior of a basic interval, so the
+        # window list is built as well
         code = cli.run(["transitive", "--alpha", "(1110101100)", "--word", "01011"])
         assert code == 0, capsys.readouterr().err
         assert len(calls) == 1

@@ -10,13 +10,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from betahole.base_solver import is_admissible_alpha, is_greedy_admissible
-from betahole.classifier import Position, classify, tau_greedy_seq
+from betahole.classifier import Position, classify, endpoint_alpha, tau_greedy_seq
+from betahole.errors import PreconditionError
 from betahole.lyndon_intervals import is_beta_lyndon
-from betahole.seq_core import EPSeq, eps, minus, periodic, seq_lt
+from betahole.seq_core import EPSeq, eps, minus, periodic, seq_key, seq_lt
 from betahole.substitution import phi
 from betahole.survivor_shift import build_automaton, entropy_of_bounds, is_transitive_sofic
 from betahole.windows import is_transitive, transitive_core
 from betahole.word_combinatorics import lyndon_words
+from oracles import transitive_core_separate
 
 WORD_POOL = list(lyndon_words(8, min_len=2))
 
@@ -178,7 +180,9 @@ def test_transitive_core_entropy_sweep(alpha):
     for w in words[:3]:
         try:
             core = transitive_core(w, alpha, record)
-        except Exception:
+        except PreconditionError as exc:
+            if "non-transitivity window" not in str(exc):
+                raise
             continue  # inside a window: no core to check
         if not core.R:
             continue
@@ -186,3 +190,65 @@ def test_transitive_core_entropy_sweep(alpha):
         h_full = entropy_of_bounds(periodic(w), alpha).h
         h_hat = entropy_of_bounds(periodic(core.w_hat), core.alpha_hat).h
         assert abs(float(h_full.mid()) - float(h_hat.mid()) / len(core.R)) < 1e-9
+
+
+# bases where the core renormalizes: deep interiors and the endpoints of
+# basic intervals of degree 2 and 3
+RENORMALIZING_ALPHAS = WINDOW_FIXTURES + [
+    endpoint_alpha(chain, which)
+    for chain in [["01", "01"], ["01", "011"], ["011", "01"], ["01", "001"], ["01", "01", "01"]]
+    for which in ["l", "*", "r"]
+]
+# renormalized words Phi_R(w-hat) are |R| times longer than w-hat
+CORE_POOL = list(lyndon_words(10, min_len=2))
+
+
+@st.composite
+def alphas_and_words(draw):
+    """A random admissible alpha and a beta-Lyndon word w of length <= 8
+    with w^inf below tau."""
+    pre = draw(st.text("01", max_size=6))
+    per = draw(st.text("01", min_size=1, max_size=7))
+    alpha = eps("1" + pre, per)
+    assume(is_admissible_alpha(alpha) and alpha != periodic("1"))
+    tau_g = tau_greedy_seq(classify(alpha))
+    words = [w for w in WORD_POOL if is_beta_lyndon(w, alpha) and seq_lt(periodic(w), tau_g)]
+    assume(words)
+    # the windows and the renormalizing words lie just below tau: half
+    # the draws come from the top quarter of the words by value
+    words.sort(key=lambda w: seq_key(periodic(w)))
+    if draw(st.booleans()):
+        words = words[-(len(words) + 3) // 4 :]
+    return alpha, draw(st.sampled_from(words))
+
+
+def _assert_core_matches_separate(w, alpha, record):
+    # the core read from the verdict's window scan is the core computed on
+    # its own window build, and None exactly where that one finds t_R in a
+    # window
+    core = is_transitive(w, alpha, record).core
+    try:
+        expected = transitive_core_separate(w, alpha, record)
+    except PreconditionError as exc:
+        assert "non-transitivity window" in str(exc)
+        assert core is None, (str(alpha), w)
+    else:
+        assert core == expected, (str(alpha), w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(alphas_and_words())
+def test_verdict_core_matches_separate_core(case):
+    alpha, w = case
+    _assert_core_matches_separate(w, alpha, classify(alpha))
+
+
+@pytest.mark.parametrize("alpha", RENORMALIZING_ALPHAS, ids=str)
+def test_verdict_core_matches_separate_core_sweep(alpha):
+    # every word of CORE_POOL below tau: renormalized cores and windows
+    # are rare among random draws
+    record = classify(alpha)
+    tau_g = tau_greedy_seq(record)
+    for w in CORE_POOL:
+        if is_beta_lyndon(w, alpha) and seq_lt(periodic(w), tau_g):
+            _assert_core_matches_separate(w, alpha, record)

@@ -1,7 +1,8 @@
 """Oracle tests for the path from bounds to certified entropy: the bitmask
 automaton construction against the frozenset one, the per-SCC Perron
 roots read off the automaton's edges against a dense matrix built here,
-and the integer Horner pi_beta_at against the Fraction recursion."""
+the integer Horner pi_beta_at against the Fraction recursion, and the
+word-level transitivity check against its bounded-search form."""
 
 from fractions import Fraction
 
@@ -12,8 +13,16 @@ from hypothesis import strategies as st
 from betahole import survivor_shift
 from betahole.errors import InvariantError
 from betahole.seq_core import EPSeq, RatInterval, periodic, pi_beta_at, seq_le, word_zeros
-from betahole.survivor_shift import ShiftAutomaton, build_automaton, entropy, perron_root, spectral_radius
-from oracles import build_automaton_frozenset, pi_beta_fraction, succ_lists
+from betahole.survivor_shift import (
+    WORD_CHECK_LEN,
+    ShiftAutomaton,
+    build_automaton,
+    entropy,
+    is_transitive_sofic,
+    perron_root,
+    spectral_radius,
+)
+from oracles import build_automaton_frozenset, pi_beta_fraction, succ_lists, word_level_check_bounded
 
 words = st.text(alphabet="01", max_size=5)
 periods = st.text(alphabet="01", min_size=1, max_size=6)
@@ -139,3 +148,14 @@ long_sequences = st.builds(EPSeq, st.text(alphabet="01", max_size=12),
 @example(EPSeq.parse("(1)"), Fraction(3, 2))
 def test_pi_beta_at_equals_fraction_recursion(x, beta):
     assert pi_beta_at(x, beta) == pi_beta_fraction(x, beta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bound_pairs())
+@example((periodic("01010111"), periodic("11101010")))  # not transitive
+@example((periodic("10"), periodic("10")))  # empty
+def test_word_level_matches_bounded_search(bounds):
+    # the reachability closure gives the verdict of the bounded connector
+    # search, since 4 |Q| + 8 steps reach every reachable state
+    aut = build_automaton(*bounds)
+    assert is_transitive_sofic(aut).word_level is word_level_check_bounded(aut, WORD_CHECK_LEN)

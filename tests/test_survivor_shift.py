@@ -106,8 +106,8 @@ class TestEntropy:
         for text in ["(10)", "(110)", "111010(110)"]:
             alpha = EPSeq.parse(text)
             spec = beta_from_alpha(alpha)
-            res = entropy_of_bounds(periodic("0"), alpha, spec.enclosure)
-            assert res.dim.lo <= 1 <= res.dim.hi or abs(float(res.dim.mid()) - 1) < 1e-9
+            dim = dimension(entropy_of_bounds(periodic("0"), alpha), spec.enclosure)
+            assert dim.lo <= 1 <= dim.hi or abs(float(dim.mid()) - 1) < 1e-9
 
     def test_empty_shift_raises(self):
         empty = build_automaton(periodic("10"), periodic("10"))

@@ -215,6 +215,12 @@ class TestTransitiveCore:
         with pytest.raises(PreconditionError):
             transitive_core("01010111", A_EX_F)
 
+    def test_word_at_or_above_tau_raises_precondition(self):
+        # 01 is beta-Lyndon at 11(01), but (01)^inf is not below tau; the
+        # core has the verdict's precondition, not a failed Phi inverse
+        with pytest.raises(PreconditionError, match="below tau"):
+            transitive_core("01", EPSeq.parse("11(01)"))
+
 
 class TestDepthThreeChain:
     # interior of the degree-3 basic interval of 01.01.01 = 00101101
