@@ -26,7 +26,6 @@ from .seq_core import (
     is_shift_maximal,
     n_tails,
     pi_beta,
-    seq_lt,
     shift,
 )
 
@@ -204,7 +203,7 @@ def is_greedy_admissible(x: EPSeq, alpha: EPSeq) -> bool:
     """Parry condition sigma^n(x) < alpha for all n >= 0, checked on the
     n_tails(x) distinct tails."""
     check_admissible_alpha(alpha)
-    return all(seq_lt(shift(x, k), alpha) for k in range(n_tails(x)))
+    return all(shift(x, k) < alpha for k in range(n_tails(x)))
 
 
 def periodic_alpha_to_greedy_one(alpha: EPSeq) -> EPSeq:

@@ -29,12 +29,9 @@ from .seq_core import (
     EPSeq,
     ONE,
     eps,
-    lex_cmp,
     minus,
     periodic,
     plus,
-    seq_le,
-    seq_lt,
     word_zeros,
 )
 from .substitution import compose_chain, phi
@@ -83,18 +80,32 @@ def right_alpha(word: str) -> EPSeq:
     return eps(plus(cyclic_max(word)), word)
 
 
+# the spellings of the endpoints beta_l^S, beta_*^S and beta_r^S
+_ENDPOINTS = {
+    "l": Position.LEFT, "ell": Position.LEFT, "left": Position.LEFT,
+    "*": Position.STAR, "s": Position.STAR, "star": Position.STAR,
+    "r": Position.RIGHT, "right": Position.RIGHT,
+}
+
+
+def endpoint_position(which: str) -> Position:
+    """The endpoint of a basic interval that ``which`` names."""
+    if which not in _ENDPOINTS:
+        raise PreconditionError("which must be one of l, *, r")
+    return _ENDPOINTS[which]
+
+
 def endpoint_alpha(chain, which: str) -> EPSeq:
     """Defining alpha for beta_l^S / beta_*^S / beta_r^S of a chain."""
     word = compose_chain(chain) if not isinstance(chain, str) else chain
     if not word:
         raise PreconditionError("empty chain has no endpoints")
-    if which in ("l", "ell", "left"):
+    position = endpoint_position(which)
+    if position is Position.LEFT:
         return left_alpha(word)
-    if which in ("*", "s", "star"):
+    if position is Position.STAR:
         return star_alpha(word)
-    if which in ("r", "right"):
-        return right_alpha(word)
-    raise PreconditionError("which must be one of l, *, r")
+    return right_alpha(word)
 
 
 def _locate_factor(alpha: EPSeq, prefix_chain: Tuple[str, ...], max_steps: int):
@@ -112,10 +123,10 @@ def _locate_factor(alpha: EPSeq, prefix_chain: Tuple[str, ...], max_steps: int):
     for _ in range(max_steps):
         cand = lw + rw
         lo, hi = j_bounds(cand)
-        if seq_lt(alpha, lo):
+        if alpha < lo:
             rw = cand
             continue
-        if seq_le(alpha, hi):
+        if alpha <= hi:
             if alpha == lo:
                 return cand, "left"
             if alpha == hi:
@@ -151,11 +162,10 @@ def classify(alpha: EPSeq, max_depth: int = 64) -> ClassRecord:
             record = ClassRecord(chain, Position.RIGHT, alpha)
             break
         star = star_alpha(word)
-        order = lex_cmp(alpha, star)
-        if order.value == 0:
+        if alpha == star:
             record = ClassRecord(chain, Position.STAR, alpha)
             break
-        if order.value < 0:
+        if alpha < star:
             record = ClassRecord(chain, Position.INTERIOR, alpha)
             break
     else:

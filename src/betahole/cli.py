@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import base_solver, classifier, lyndon_intervals, survivor_shift, windows
 from .errors import BetaholeError, DepthExceeded
-from .seq_core import EPSeq, RatInterval, format_interval, log_interval, periodic, seq_key, seq_lt
+from .seq_core import EPSeq, RatInterval, format_interval, log_interval, periodic
 from .word_combinatorics import lyndon_words
 
 SCHEMA = "betahole/1"
@@ -190,9 +190,9 @@ def cmd_staircase(args) -> int:
             if not lyndon_intervals.is_beta_lyndon(w, alpha):
                 continue
             t_r = periodic(w)
-            if seq_lt(t_r, tau_greedy):
+            if t_r < tau_greedy:
                 samples.append(t_r)
-    samples.sort(key=seq_key)
+    samples.sort()
     samples = samples[: args.points]
     log_beta = log_interval(spec.enclosure)
     lines = ["t_lo,t_hi,dim_lo,dim_hi,seq"]

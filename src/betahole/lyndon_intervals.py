@@ -16,7 +16,7 @@ from itertools import islice
 from typing import List, Optional, Tuple
 
 from .base_solver import BetaSpec, beta_from_alpha, is_greedy_admissible
-from .classifier import Position, classify, tau
+from .classifier import Position, classify, endpoint_position, tau
 from .errors import InvariantError, NoCandidate, PreconditionError
 from .seq_core import (
     EPSeq,
@@ -26,10 +26,6 @@ from .seq_core import (
     minus,
     n_tails,
     periodic,
-    seq_ge,
-    seq_key,
-    seq_le,
-    seq_lt,
     shift,
     word_zeros,
 )
@@ -55,17 +51,12 @@ def v_star(v: str, alpha: EPSeq) -> str:
     if is_beta_lyndon(v, alpha):
         return v
     target = periodic(v)
-    best: Optional[str] = None
-    for w in lyndon_words(len(v)):
-        if not seq_ge(periodic(w), target):
-            continue
-        if not is_beta_lyndon(w, alpha):
-            continue
-        if best is None or seq_lt(periodic(w), periodic(best)):
-            best = w
+    # a Lyndon word is primitive, so w^inf has empty preperiod and period w
+    best = min((x for x in map(periodic, lyndon_words(len(v)))
+                if x >= target and is_beta_lyndon(x.per, alpha)), default=None)
     if best is None:
         raise NoCandidate("no beta-Lyndon word >= %r for this base" % (v,))
-    return best
+    return best.per
 
 
 @dataclass(frozen=True)
@@ -75,8 +66,11 @@ class Ebli:
     w: str
     left_seq: EPSeq
     right_seq: EPSeq
-    m: Optional[int]
-    plain: bool
+    m: Optional[int]  # the first tail of alpha at or below w^inf; None when plain
+
+    @property
+    def plain(self) -> bool:
+        return self.m is None
 
 
 def ebli(w: str, alpha: EPSeq) -> Ebli:
@@ -86,16 +80,16 @@ def ebli(w: str, alpha: EPSeq) -> Ebli:
     target = periodic(w)
     m = None
     for n in range(1, n_tails(alpha) + 1):
-        if seq_le(shift(alpha, n), target):
+        if shift(alpha, n) <= target:
             m = n
             break
     if m is None:
-        return Ebli(w, word_zeros(w), target, None, True)
+        return Ebli(w, word_zeros(w), target, None)
     head = alpha.prefix(m)
     # the first tail at or below w^inf always follows a digit 1 of alpha
     if not head.endswith("1"):
         raise InvariantError("tail %d of %s does not follow a digit 1" % (m, alpha))
-    return Ebli(w, eps(minus(w), minus(head)), target, m, False)
+    return Ebli(w, eps(minus(w), minus(head)), target, m)
 
 
 def symbolic_plateau(w: str, alpha: EPSeq) -> Tuple[EPSeq, EPSeq]:
@@ -123,7 +117,7 @@ class Plateau:
 
     kind: str  # "ebli" | "terminal"
     ebli: Optional[Ebli]
-    entropy: Optional[RatInterval]
+    entropy: RatInterval
 
 
 @dataclass(frozen=True)
@@ -137,7 +131,6 @@ class PlateauReport:
 def plateaus(
     alpha: EPSeq,
     max_word_len: int = 12,
-    with_entropy: bool = True,
     beta: Optional[BetaSpec] = None,
 ) -> PlateauReport:
     """Entropy plateaus up to the word-length cutoff.
@@ -165,35 +158,29 @@ def plateaus(
         if not is_beta_lyndon(w, alpha):
             continue
         e = ebli(w, alpha)
-        if seq_le(e.left_seq, tau_point.greedy):
+        if e.left_seq <= tau_point.greedy:
             candidates.append(e)
-    candidates.sort(key=lambda e: seq_key(e.right_seq), reverse=True)
-    candidates.sort(key=lambda e: seq_key(e.left_seq))
+    candidates.sort(key=lambda e: e.right_seq, reverse=True)
+    candidates.sort(key=lambda e: e.left_seq)
     maximal: List[Ebli] = []
     stack: List[Ebli] = []
     for e in candidates:
-        while stack and seq_le(stack[-1].right_seq, e.left_seq):
+        while stack and stack[-1].right_seq <= e.left_seq:
             stack.pop()
         if not stack:
             maximal.append(e)
-        elif seq_lt(stack[-1].right_seq, e.right_seq):
+        elif stack[-1].right_seq < e.right_seq:
             raise InvariantError("EBLIs of %r and %r overlap without nesting" % (stack[-1].w, e.w))
         stack.append(e)
-    out: List[Plateau] = []
-    if with_entropy:
-        for e in maximal:
-            res = entropy_of_bounds(e.right_seq, alpha)
-            out.append(Plateau("ebli", e, res.h))
-    else:
-        out.extend(Plateau("ebli", e, None) for e in maximal)
+    out = [Plateau("ebli", e, entropy_of_bounds(e.right_seq, alpha).h) for e in maximal]
     out.append(Plateau("terminal", None, RatInterval.point(0)))
     gaps = []
     prev: Optional[EPSeq] = None
     for e in maximal:
-        if prev is not None and seq_lt(prev, e.left_seq):
+        if prev is not None and prev < e.left_seq:
             gaps.append((prev, e.left_seq))
         prev = e.right_seq
-    if prev is not None and seq_lt(prev, tau_point.greedy):
+    if prev is not None and prev < tau_point.greedy:
         gaps.append((prev, tau_point.greedy))
     return PlateauReport(tuple(out), max_word_len, False, tuple(gaps))
 
@@ -207,7 +194,7 @@ def exceptional_points(chain, which: str) -> List[EPSeq]:
         raise PreconditionError("exceptional_points needs a nonempty chain")
     if not all(is_farey(r) and len(r) >= 2 for r in chain):
         raise PreconditionError("chain factors must be Farey words of length >= 2")
-    stop = len(chain) - 1 if which in ("l", "ell", "left") else len(chain)
+    stop = len(chain) - 1 if endpoint_position(which) is Position.LEFT else len(chain)
     return list(islice(einf_exceptional_stream(chain), stop))
 
 
@@ -234,7 +221,7 @@ def gap_point(chain, alpha: EPSeq, M: int) -> EPSeq:
     u = word[j:]
     tail = shift(alpha, len(word))
     N = 0
-    while not seq_lt(tail, eps(minus(word) + L * N, "0")):
+    while tail >= eps(minus(word) + L * N, "0"):
         N += 1
         if N > n_tails(alpha) + len(word) + 8:
             raise PreconditionError("no finite N: is beta really interior?")

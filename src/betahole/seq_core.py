@@ -7,9 +7,11 @@ proper power) and the preperiod is as short as possible.  Canonical form
 makes value equality coincide with structural equality, so EPSeq objects
 can be dict keys and golden-test fixtures.
 
-Sequences compare lexicographically, digit by digit (``lex_cmp``, and
-the sort key ``seq_key``); a finite word enters a comparison as a
-sequence, e.g. w^inf (``periodic``) or w 0^inf (``word_zeros``).
+Sequences compare lexicographically, digit by digit: ``lex_cmp`` decides
+the order, and the operators ``<``, ``<=``, ``>`` and ``>=`` on EPSeq
+(so ``sorted`` and ``min`` too) each make one ``lex_cmp`` call.  A finite
+word enters a comparison as a sequence, e.g. w^inf (``periodic``) or
+w 0^inf (``word_zeros``).
 
 The numeric kernel is exact rational arithmetic (fractions.Fraction).
 A base beta is carried as a rational interval enclosure, and pi_beta
@@ -89,6 +91,12 @@ class EPSeq:
         object.__setattr__(self, "pre", pre)
         object.__setattr__(self, "per", per)
 
+    def __lt__(self, other: "EPSeq") -> bool:
+        return lex_cmp(self, other) is Ordering.LESS
+
+    def __le__(self, other: "EPSeq") -> bool:
+        return lex_cmp(self, other) is not Ordering.GREATER
+
     def digit(self, i: int) -> str:
         if i < len(self.pre):
             return self.pre[i]
@@ -154,22 +162,6 @@ def lex_cmp(x: EPSeq, y: EPSeq) -> Ordering:
     raise InvariantError("distinct canonical EPSeqs agree beyond the decision bound")
 
 
-# sort key for the exact lexicographic order of EPSeq values
-seq_key = functools.cmp_to_key(lex_cmp)
-
-
-def seq_lt(x: EPSeq, y: EPSeq) -> bool:
-    return lex_cmp(x, y) is Ordering.LESS
-
-
-def seq_le(x: EPSeq, y: EPSeq) -> bool:
-    return lex_cmp(x, y) is not Ordering.GREATER
-
-
-def seq_ge(x: EPSeq, y: EPSeq) -> bool:
-    return lex_cmp(x, y) is not Ordering.LESS
-
-
 def shift(x: EPSeq, n: int) -> EPSeq:
     """The shifted sequence sigma^n(x), canonical."""
     if n < 0:
@@ -187,12 +179,12 @@ def n_tails(x: EPSeq) -> int:
 
 def is_shift_maximal(x: EPSeq) -> bool:
     """sigma^n(x) <= x for all n >= 1."""
-    return all(seq_le(shift(x, n), x) for n in range(1, n_tails(x) + 1))
+    return all(shift(x, n) <= x for n in range(1, n_tails(x) + 1))
 
 
 def is_shift_minimal(x: EPSeq) -> bool:
     """sigma^n(x) >= x for all n >= 1."""
-    return all(seq_ge(shift(x, n), x) for n in range(1, n_tails(x) + 1))
+    return all(shift(x, n) >= x for n in range(1, n_tails(x) + 1))
 
 
 # ---------------------------------------------------------------------------

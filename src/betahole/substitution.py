@@ -83,21 +83,11 @@ def phi_word(s: str, w: str) -> str:
 
 def _phi_eps(s: str, x: EPSeq) -> EPSeq:
     blocks = _Blocks(s)
-    if set(x.per) == {"0"}:
-        # tail 0^inf: final (infinite) 0-run gives s^- L(s)^inf
-        runs = _runs(x.pre)
-        if runs and runs[-1][0] == "0":
-            head = blocks.image_of_runs(runs[:-1]) + blocks.s_minus + blocks.L * (runs[-1][1] - 1)
-        else:
-            head = blocks.image_of_runs(runs) + blocks.s_minus
-        return EPSeq(head, blocks.L)
-    if set(x.per) == {"1"}:
-        runs = _runs(x.pre)
-        if runs and runs[-1][0] == "1":
-            head = blocks.image_of_runs(runs[:-1]) + blocks.L_plus + blocks.s * (runs[-1][1] - 1)
-        else:
-            head = blocks.image_of_runs(runs) + blocks.L_plus
-        return EPSeq(head, blocks.s)
+    if len(x.per) == 1:
+        # tail d^inf, an infinite final run: 0^inf gives s^- L(s)^inf and
+        # 1^inf gives L(s)^+ s^inf (canonical form keeps pre from ending in d)
+        first, rest = (blocks.s_minus, blocks.L) if x.per == "0" else (blocks.L_plus, blocks.s)
+        return EPSeq(blocks.image_of_runs(_runs(x.pre)) + first, rest)
     # rotate the period so it starts at a run boundary; then no run spans
     # a period seam and the block images repeat periodically
     per = x.per

@@ -38,7 +38,6 @@ from .seq_core import (
     EPSeq,
     RatInterval,
     log_interval,
-    seq_le,
 )
 
 ENTROPY_TOL = Fraction(1, 10**18)
@@ -56,8 +55,6 @@ class ShiftAutomaton:
     exactly the words of length n occurring in the subshift.
     """
 
-    lower: EPSeq
-    upper: EPSeq
     edges: List[Dict[str, int]]
     start: Optional[int]
 
@@ -82,7 +79,7 @@ class ShiftAutomaton:
 
 def build_automaton(lower: EPSeq, upper: EPSeq) -> ShiftAutomaton:
     """Deterministic automaton for Sigma_{lower,upper}, out-trimmed."""
-    if not seq_le(lower, upper):
+    if lower > upper:
         raise PreconditionError("need lower <= upper")
     # bit i of a mask is folded depth i; a bound of preperiod p and period
     # q has depths 0 .. p + q - 1, and advancing past the last folds to p
@@ -139,14 +136,14 @@ def build_automaton(lower: EPSeq, upper: EPSeq) -> ShiftAutomaton:
             if not live[i]:
                 dead.append(i)
     if not live[0]:
-        return ShiftAutomaton(lower, upper, [], None)
+        return ShiftAutomaton([], None)
     remap = {old: new for new, old in enumerate(i for i in range(n) if live[i])}
     new_edges: List[Dict[str, int]] = [{} for _ in remap]
     for old, new in remap.items():
         for d, j in edges[old].items():
             if j in remap:
                 new_edges[new][d] = remap[j]
-    return ShiftAutomaton(lower, upper, new_edges, remap[0])
+    return ShiftAutomaton(new_edges, remap[0])
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +233,7 @@ def minimize(aut: ShiftAutomaton) -> ShiftAutomaton:
     for i in range(n):
         for d, j in aut.edges[i].items():
             edges[block[i]][d] = block[j]
-    return ShiftAutomaton(aut.lower, aut.upper, edges, block[aut.start])
+    return ShiftAutomaton(edges, block[aut.start])
 
 
 # ---------------------------------------------------------------------------

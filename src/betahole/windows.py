@@ -36,8 +36,6 @@ from .seq_core import (
     eps,
     minus,
     periodic,
-    seq_le,
-    seq_lt,
     shift,
 )
 from .substitution import compose_chain, phi_inverse, phi_inverse_word
@@ -57,9 +55,9 @@ class WindowRecord:
 
     def contains_value(self, x: EPSeq) -> bool:
         """Membership of a greedy sequence's value in the window."""
-        if not seq_le(self.lower_seq, x):
+        if self.lower_seq > x:
             return False
-        return seq_le(x, self.upper_seq) if self.closed else seq_lt(x, self.upper_seq)
+        return x <= self.upper_seq if self.closed else x < self.upper_seq
 
 
 @dataclass(frozen=True)
@@ -141,16 +139,16 @@ def _next_v(A: EPSeq, j: int) -> Optional[str]:
     tail = shift(A, j)
     limit = max(len(A.pre) - j, 0) + len(A.per)
     for n in range(1, limit + 1):
-        if seq_le(shift(A, j + n), tail):
+        if shift(A, j + n) <= tail:
             return A.prefix(j + n)[j:]
     return None
 
 
 def window_contained(outer: WindowRecord, inner: WindowRecord) -> bool:
     """Set inclusion of window intervals (half-open / closed aware)."""
-    if not seq_le(outer.lower_seq, inner.lower_seq):
+    if outer.lower_seq > inner.lower_seq:
         return False
-    if seq_lt(inner.upper_seq, outer.upper_seq):
+    if inner.upper_seq < outer.upper_seq:
         return True
     if inner.upper_seq == outer.upper_seq:
         return outer.closed or not inner.closed
@@ -171,7 +169,7 @@ def maximal_windows(ws: WindowSet) -> List[WindowRecord]:
         for a in recs[:b_idx]:
             if window_contained(a, b):
                 contained = True
-            elif not seq_le(b.upper_seq, a.lower_seq):
+            elif b.upper_seq > a.lower_seq:
                 raise InvariantError(
                     "windows %d, %d neither nested nor left-separated" % (a.k, b.k)
                 )
@@ -236,7 +234,7 @@ def is_transitive(w: str, alpha: EPSeq, record: Optional[ClassRecord] = None) ->
     if not is_beta_lyndon(w, alpha):
         raise PreconditionError("%r is not beta-Lyndon here" % (w,))
     t_r = periodic(w)
-    if not seq_lt(t_r, tau_greedy_seq(record)):
+    if t_r >= tau_greedy_seq(record):
         raise PreconditionError("t_R must lie below tau(beta)")
     pos, depth = record.position, record.depth
     window = None
@@ -250,7 +248,7 @@ def is_transitive(w: str, alpha: EPSeq, record: Optional[ClassRecord] = None) ->
     # renormalizable endpoint classes (LEFT/STAR of depth >= 2, RIGHT) and
     # interiors of depth >= 2 test the first-factor threshold
     if pos is not Position.INTERIOR or depth >= 2:
-        if not seq_lt(t_r, _threshold(record.chain[0])):
+        if t_r >= _threshold(record.chain[0]):
             return TransitivityVerdict(Verdict.NOT_TRANSITIVE, "at or above the renormalization threshold", core)
         if pos is not Position.INTERIOR:
             return TransitivityVerdict(Verdict.TRANSITIVE, "below the renormalization threshold", core)
@@ -275,7 +273,7 @@ def _core(w: str, t_r: EPSeq, alpha: EPSeq, record: ClassRecord) -> TransitiveCo
     # the unique i with S_i^- L(S_i)^inf < w^inf < S_{i+1}^- L(S_{i+1})^inf
     # (thresholds increase with i, so count the thresholds cleared)
     i = 0
-    while i < len(chain) and seq_lt(_threshold(compose_chain(chain[: i + 1])), t_r):
+    while i < len(chain) and _threshold(compose_chain(chain[: i + 1])) < t_r:
         i += 1
     if i == 0:
         return TransitiveCore("", w, alpha)
@@ -294,6 +292,6 @@ def _core(w: str, t_r: EPSeq, alpha: EPSeq, record: ClassRecord) -> TransitiveCo
 def _first_tail_below(A: EPSeq, j1: int, threshold: EPSeq) -> Optional[int]:
     limit = len(A.pre) + len(A.per) + j1
     for n in range(j1, limit + 1):
-        if seq_lt(shift(A, n), threshold):
+        if shift(A, n) < threshold:
             return n
     return None

@@ -43,7 +43,7 @@ from betahole.base_solver import check_admissible_alpha, periodic_alpha_to_greed
 from betahole.classifier import Position, classify
 from betahole.errors import PreconditionError
 from betahole.lyndon_intervals import is_beta_lyndon
-from betahole.seq_core import EPSeq, RatInterval, eps, minus, n_tails, periodic, seq_ge, seq_le, seq_lt, shift
+from betahole.seq_core import EPSeq, RatInterval, eps, minus, n_tails, periodic, shift
 from betahole.substitution import compose_chain, phi_inverse, phi_inverse_word
 from betahole.survivor_shift import ENTROPY_TOL, ShiftAutomaton, _nontrivial_sccs
 from betahole.windows import TransitiveCore, build_windows
@@ -57,7 +57,7 @@ def _fold(i: int, pre: int, per: int) -> int:
 def build_automaton_frozenset(lower: EPSeq, upper: EPSeq) -> ShiftAutomaton:
     """Deterministic automaton for Sigma_{lower,upper}, out-trimmed; each
     state is the pair of frozensets of pinned (folded) depths."""
-    if not seq_le(lower, upper):
+    if lower > upper:
         raise PreconditionError("need lower <= upper")
     pa, qa = len(lower.pre), len(lower.per)
     pb, qb = len(upper.pre), len(upper.per)
@@ -100,14 +100,14 @@ def build_automaton_frozenset(lower: EPSeq, upper: EPSeq) -> ShiftAutomaton:
                 alive.discard(i)
                 changed = True
     if 0 not in alive:
-        return ShiftAutomaton(lower, upper, [], None)
+        return ShiftAutomaton([], None)
     remap = {old: new for new, old in enumerate(sorted(alive))}
     new_edges: List[Dict[str, int]] = [{} for _ in remap]
     for old, new in remap.items():
         for d, j in edges[old].items():
             if j in remap:
                 new_edges[new][d] = remap[j]
-    return ShiftAutomaton(lower, upper, new_edges, remap[0])
+    return ShiftAutomaton(new_edges, remap[0])
 
 
 def pi_beta_fraction(x: EPSeq, beta: Fraction) -> Fraction:
@@ -152,7 +152,7 @@ def essential_part(aut: ShiftAutomaton) -> ShiftAutomaton:
             if j in remap:
                 edges[new][d] = remap[j]
     start = remap.get(aut.start)
-    return ShiftAutomaton(aut.lower, aut.upper, edges, start)
+    return ShiftAutomaton(edges, start)
 
 
 def count_words(aut: ShiftAutomaton, n: int) -> int:
@@ -356,21 +356,21 @@ def descending_check(bounds: List[Tuple[EPSeq, EPSeq]], n_window: int = 12) -> b
 
 def ebli_contains(outer, inner) -> bool:
     """Set inclusion of two EBLIs, by their end sequences."""
-    return seq_le(outer.left_seq, inner.left_seq) and seq_le(inner.right_seq, outer.right_seq)
+    return outer.left_seq <= inner.left_seq and inner.right_seq <= outer.right_seq
 
 
 def nesting_or_disjoint(a, b) -> bool:
     """Two EBLIs either do not overlap or one contains the other."""
     if ebli_contains(a, b) or ebli_contains(b, a):
         return True
-    return seq_le(a.right_seq, b.left_seq) or seq_le(b.right_seq, a.left_seq)
+    return a.right_seq <= b.left_seq or b.right_seq <= a.left_seq
 
 
 def is_maximal_ebli(e, windows) -> bool:
     """Maximal iff not properly contained in the closure of a
     non-transitivity window."""
     for rec in windows:
-        inside = seq_le(rec.lower_seq, e.left_seq) and seq_le(e.right_seq, rec.upper_seq)
+        inside = rec.lower_seq <= e.left_seq and e.right_seq <= rec.upper_seq
         equal = rec.lower_seq == e.left_seq and rec.upper_seq == e.right_seq
         if inside and not equal:
             return False
@@ -384,7 +384,7 @@ def is_maximal_ebli(e, windows) -> bool:
 def greedy_admissible_loop(x: EPSeq, alpha: EPSeq) -> bool:
     """Parry condition sigma^n(x) < alpha, over n = 0 .. n_tails(x)."""
     check_admissible_alpha(alpha)
-    return all(seq_lt(shift(x, k), alpha) for k in range(n_tails(x) + 1))
+    return all(shift(x, k) < alpha for k in range(n_tails(x) + 1))
 
 
 def beta_lyndon_loop(w: str, alpha: EPSeq) -> bool:
@@ -393,14 +393,14 @@ def beta_lyndon_loop(w: str, alpha: EPSeq) -> bool:
         return False
     check_admissible_alpha(alpha)
     x = periodic(w)
-    return all(seq_lt(shift(x, k), alpha) for k in range(len(w)))
+    return all(shift(x, k) < alpha for k in range(len(w)))
 
 
 def in_E_beta_loop(b: EPSeq, alpha: EPSeq) -> bool:
     """sigma^n(b) >= b for n = 1 .. n_tails(b), for a greedy expansion b."""
     if not greedy_admissible_loop(b, alpha):
         raise PreconditionError("%s is not a greedy expansion for this base" % (b,))
-    return all(seq_ge(shift(b, n), b) for n in range(1, n_tails(b) + 1))
+    return all(shift(b, n) >= b for n in range(1, n_tails(b) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +421,7 @@ def _scan_sequence(alpha: EPSeq) -> EPSeq:
 def _first_tail_below(A: EPSeq, j1: int, threshold: EPSeq) -> Optional[int]:
     limit = len(A.pre) + len(A.per) + j1
     for n in range(j1, limit + 1):
-        if seq_lt(shift(A, n), threshold):
+        if shift(A, n) < threshold:
             return n
     return None
 
@@ -448,7 +448,7 @@ def transitive_core_separate(w: str, alpha: EPSeq, record=None) -> TransitiveCor
     target_i = None
     for i in range(1, len(chain) + 1):
         s_i = compose_chain(chain[:i])
-        if seq_lt(eps(minus(s_i), cyclic_max(s_i)), t_r):
+        if eps(minus(s_i), cyclic_max(s_i)) < t_r:
             target_i = i
         else:
             break

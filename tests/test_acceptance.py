@@ -23,7 +23,7 @@ from betahole.lyndon_intervals import (
     is_beta_lyndon,
     plateaus,
 )
-from betahole.seq_core import EPSeq, eps, periodic, pi_beta, seq_le, seq_lt, word_zeros
+from betahole.seq_core import EPSeq, eps, periodic, pi_beta, word_zeros
 from betahole.substitution import bullet, phi, phi_inverse, sandwich_points
 from betahole.survivor_shift import (
     build_automaton,
@@ -199,7 +199,7 @@ def test_criterion_06_substitution_algebra():
         if x == y:
             continue
         fx, fy = phi(s, x), phi(s, y)
-        assert seq_lt(fx, fy) == seq_lt(x, y)
+        assert (fx < fy) == (x < y)
         assert phi_inverse(s, fx) == x
         pairs += 1
     report(6, "substitution algebra: 100 associativity triples, 200 monotone pairs")
@@ -267,9 +267,7 @@ def test_criterion_09_beta_two_plateaus():
     assert all(p.ebli.plain for p in eblis)
     for i, a in enumerate(eblis):
         for b in eblis[i + 1 :]:
-            assert seq_le(a.ebli.right_seq, b.ebli.left_seq) or seq_le(
-                b.ebli.right_seq, a.ebli.left_seq
-            )
+            assert a.ebli.right_seq <= b.ebli.left_seq or b.ebli.right_seq <= a.ebli.left_seq
     # sorted by increasing right endpoint: entropies strictly decreasing
     hs = [float(p.entropy.mid()) for p in eblis]
     assert all(x - y > 1e-9 for x, y in zip(hs, hs[1:]))
@@ -338,7 +336,7 @@ def test_criterion_11_transitivity_cross_validation():
         record = classify(alpha)
         tau_g = tau_greedy_seq(record)
         for w in words:
-            if not is_beta_lyndon(w, alpha) or not seq_lt(periodic(w), tau_g):
+            if not is_beta_lyndon(w, alpha) or periodic(w) >= tau_g:
                 continue
             verdict = is_transitive(w, alpha, record)
             sofic = is_transitive_sofic(build_automaton(periodic(w), alpha))

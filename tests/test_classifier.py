@@ -15,7 +15,7 @@ from betahole.classifier import (
     tau,
     theta,
 )
-from betahole.seq_core import EPSeq, eps, periodic, pi_beta_at, seq_le, word_zeros
+from betahole.seq_core import EPSeq, eps, periodic, pi_beta_at, word_zeros
 from betahole.substitution import compose_chain, phi
 from betahole.word_combinatorics import farey_level
 
@@ -38,8 +38,8 @@ class TestLocate:
         for text in ["111010(110)", "(1110101100)", "1110100110111(001)", "110100000(10)"]:
             alpha = EPSeq.parse(text)
             s, _ = locate_farey_interval(alpha)
-            assert seq_le(left_alpha(s), alpha)
-            assert seq_le(alpha, right_alpha(s))
+            assert left_alpha(s) <= alpha
+            assert alpha <= right_alpha(s)
 
 
 class TestClassify:
@@ -90,7 +90,7 @@ class TestClassify:
             elif record.position is Position.RIGHT:
                 assert alpha == right_alpha(word)
             else:
-                assert seq_le(left_alpha(word), alpha) and seq_le(alpha, star_alpha(word))
+                assert left_alpha(word) <= alpha <= star_alpha(word)
 
     def test_never_exceptional_for_periodic_alpha(self):
         rng = random.Random(9)

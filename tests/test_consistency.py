@@ -13,7 +13,7 @@ from betahole.base_solver import is_admissible_alpha, is_greedy_admissible
 from betahole.classifier import Position, classify, endpoint_alpha, tau_greedy_seq
 from betahole.errors import PreconditionError
 from betahole.lyndon_intervals import is_beta_lyndon
-from betahole.seq_core import EPSeq, eps, minus, periodic, seq_key, seq_lt
+from betahole.seq_core import EPSeq, eps, minus, periodic
 from betahole.substitution import phi
 from betahole.survivor_shift import build_automaton, entropy_of_bounds, is_transitive_sofic
 from betahole.windows import is_transitive, transitive_core
@@ -124,7 +124,7 @@ def test_transitivity_agreement_sweep(alpha):
     words = [
         w
         for w in WORD_POOL
-        if is_beta_lyndon(w, alpha) and seq_lt(periodic(w), tau_g)
+        if is_beta_lyndon(w, alpha) and periodic(w) < tau_g
     ]
     rng.shuffle(words)
     for w in words[:4]:
@@ -153,7 +153,7 @@ def test_transitivity_agreement_at_deep_endpoints(chain, which):
     words = [
         w
         for w in WORD_POOL
-        if len(w) <= 6 and is_beta_lyndon(w, alpha) and seq_lt(periodic(w), tau_g)
+        if len(w) <= 6 and is_beta_lyndon(w, alpha) and periodic(w) < tau_g
     ]
     below = [w for w in words if is_transitive(w, alpha, record).transitive]
     above = [w for w in words if w not in below]
@@ -174,7 +174,7 @@ def test_transitive_core_entropy_sweep(alpha):
     words = [
         w
         for w in WORD_POOL
-        if is_beta_lyndon(w, alpha) and seq_lt(periodic(w), tau_g)
+        if is_beta_lyndon(w, alpha) and periodic(w) < tau_g
     ]
     rng.shuffle(words)
     for w in words[:3]:
@@ -212,11 +212,11 @@ def alphas_and_words(draw):
     alpha = eps("1" + pre, per)
     assume(is_admissible_alpha(alpha) and alpha != periodic("1"))
     tau_g = tau_greedy_seq(classify(alpha))
-    words = [w for w in WORD_POOL if is_beta_lyndon(w, alpha) and seq_lt(periodic(w), tau_g)]
+    words = [w for w in WORD_POOL if is_beta_lyndon(w, alpha) and periodic(w) < tau_g]
     assume(words)
     # the windows and the renormalizing words lie just below tau: half
     # the draws come from the top quarter of the words by value
-    words.sort(key=lambda w: seq_key(periodic(w)))
+    words.sort(key=periodic)
     if draw(st.booleans()):
         words = words[-(len(words) + 3) // 4 :]
     return alpha, draw(st.sampled_from(words))
@@ -250,5 +250,5 @@ def test_verdict_core_matches_separate_core_sweep(alpha):
     record = classify(alpha)
     tau_g = tau_greedy_seq(record)
     for w in CORE_POOL:
-        if is_beta_lyndon(w, alpha) and seq_lt(periodic(w), tau_g):
+        if is_beta_lyndon(w, alpha) and periodic(w) < tau_g:
             _assert_core_matches_separate(w, alpha, record)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from betahole import survivor_shift
 from betahole.errors import InvariantError
-from betahole.seq_core import EPSeq, RatInterval, periodic, pi_beta_at, seq_le, word_zeros
+from betahole.seq_core import EPSeq, RatInterval, periodic, pi_beta_at, word_zeros
 from betahole.survivor_shift import (
     WORD_CHECK_LEN,
     ShiftAutomaton,
@@ -36,7 +36,7 @@ sequences = st.one_of(
 @st.composite
 def bound_pairs(draw):
     a, b = draw(sequences), draw(sequences)
-    return (a, b) if seq_le(a, b) else (b, a)
+    return (a, b) if a <= b else (b, a)
 
 
 # bounds whose automaton has two or three nontrivial SCCs
@@ -110,13 +110,13 @@ class TestEntropyPerron:
     def test_two_sccs_hand_built(self):
         # states 0, 1: golden-mean component; 2: full 2-shift loop reached from 0
         edges = [{"0": 0, "1": 1}, {"0": 0}, {"0": 2, "1": 2}]
-        aut = ShiftAutomaton(periodic("0"), periodic("1"), edges, 0)
+        aut = ShiftAutomaton(edges, 0)
         assert entropy(aut).perron == RatInterval.point(2)
         assert dense_perron(aut)[0] == RatInterval.point(2)
 
     def test_acyclic_automaton_raises(self):
         edges = [{"0": 1, "1": 2}, {"1": 2}, {}]
-        aut = ShiftAutomaton(periodic("0"), periodic("1"), edges, 0)
+        aut = ShiftAutomaton(edges, 0)
         with pytest.raises(InvariantError):
             entropy(aut)
 

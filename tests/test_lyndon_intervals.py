@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from betahole import lyndon_intervals
 from betahole.base_solver import beta_from_alpha, is_admissible_alpha, is_greedy_admissible
-from betahole.classifier import classify, tau
+from betahole.classifier import classify, endpoint_alpha, tau
 from betahole.errors import InvariantError, NoCandidate, PreconditionError
 from betahole.lyndon_intervals import (
     Ebli,
@@ -20,7 +20,7 @@ from betahole.lyndon_intervals import (
     symbolic_plateau,
     v_star,
 )
-from betahole.seq_core import EPSeq, eps, periodic, pi_beta, seq_ge, seq_key, seq_le, seq_lt, shift, word_zeros
+from betahole.seq_core import EPSeq, eps, periodic, pi_beta, shift, word_zeros
 from betahole.windows import build_windows, maximal_windows
 from betahole.word_combinatorics import cyclic_max, lyndon_words
 from oracles import (
@@ -80,8 +80,8 @@ class TestVStar:
                 got = None
             want = None
             for w in lyndon_words(9, min_len=1):
-                if is_beta_lyndon(w, alpha) and seq_ge(periodic(w), periodic(v)):
-                    if want is None or seq_lt(periodic(w), periodic(want)):
+                if is_beta_lyndon(w, alpha) and periodic(w) >= periodic(v):
+                    if want is None or periodic(w) < periodic(want):
                         want = w
             assert got == want, (v, str(alpha))
 
@@ -108,7 +108,7 @@ class TestEbli:
         from betahole.seq_core import n_tails
 
         target = periodic("0011")
-        assert all(seq_lt(target, shift(A_STAR, n)) for n in range(1, n_tails(A_STAR) + 1))
+        assert all(target < shift(A_STAR, n) for n in range(1, n_tails(A_STAR) + 1))
         assert e.plain
 
     def test_non_plain_left_endpoint_in_E_beta(self):
@@ -208,7 +208,23 @@ class TestExceptionalPoints:
     def test_decreasing_order(self):
         pts = exceptional_points(["01", "011", "001"], "r")
         for a, b in zip(pts, pts[1:]):
-            assert seq_lt(b, a)
+            assert b < a
+
+    def test_endpoint_spellings_match_endpoint_alpha(self):
+        # one table of endpoint spellings: exceptional_points accepts
+        # exactly what endpoint_alpha accepts
+        chain = ["01", "011"]
+        for which in ("l", "ell", "left"):
+            endpoint_alpha(chain, which)
+            assert len(exceptional_points(chain, which)) == 1
+        for which in ("*", "s", "star", "r", "right"):
+            endpoint_alpha(chain, which)
+            assert len(exceptional_points(chain, which)) == 2
+        for which in ("x", "L", "", "lr"):
+            with pytest.raises(PreconditionError):
+                endpoint_alpha(chain, which)
+            with pytest.raises(PreconditionError):
+                exceptional_points(chain, which)
 
 
 class TestEinfStream:
@@ -278,7 +294,7 @@ class TestNonDenseGap:
             if not is_beta_lyndon(u, A_91):
                 continue
             ui = periodic(u)
-            assert not (seq_lt(lo, ui) and seq_lt(ui, hi)), u
+            assert not lo < ui < hi, u
 
 
 class TestPlateaus:
@@ -291,9 +307,7 @@ class TestPlateaus:
         # pairwise disjoint
         for i, a in enumerate(eblis):
             for b in eblis[i + 1 :]:
-                assert seq_le(a.ebli.right_seq, b.ebli.left_seq) or seq_le(
-                    b.ebli.right_seq, a.ebli.left_seq
-                )
+                assert a.ebli.right_seq <= b.ebli.left_seq or b.ebli.right_seq <= a.ebli.left_seq
         assert rep.plateaus[-1].kind == "terminal"
 
     def test_left_endpoint_every_interval_is_plain(self):
@@ -353,15 +367,15 @@ class TestPlateauSweep:
             for w in lyndon_words(max_len, min_len=2)
             if is_beta_lyndon(w, alpha)
         ]
-        candidates = [e for e in candidates if seq_le(e.left_seq, tau_seq)]
+        candidates = [e for e in candidates if e.left_seq <= tau_seq]
         for i, a in enumerate(candidates):
             for b in candidates[i + 1 :]:
                 assert nesting_or_disjoint(a, b), (a.w, b.w)
         expected = [
             e for e in candidates if not any(o is not e and ebli_contains(o, e) for o in candidates)
         ]
-        expected.sort(key=lambda e: seq_key(e.right_seq))
-        rep = plateaus(alpha, max_len, with_entropy=False)
+        expected.sort(key=lambda e: e.right_seq)
+        rep = plateaus(alpha, max_len)
         assert [p.ebli.w for p in rep.plateaus if p.kind == "ebli"] == [e.w for e in expected]
         assert rep.plateaus[-1].kind == "terminal"
 
@@ -372,7 +386,7 @@ class TestPlateauSweep:
         words = [w for w in lyndon_words(3, min_len=2) if is_beta_lyndon(w, A_STAR)]
         assert len(words) == len(ends) == 3
         fake = {
-            w: Ebli(w, word_zeros(lo), word_zeros(hi), None, True) for w, (lo, hi) in zip(words, ends)
+            w: Ebli(w, word_zeros(lo), word_zeros(hi), None) for w, (lo, hi) in zip(words, ends)
         }
         monkeypatch.setattr(lyndon_intervals, "ebli", lambda w, alpha: fake[w])
         return words
@@ -381,14 +395,14 @@ class TestPlateauSweep:
         # touching EBLIs are disjoint, and of two EBLIs with one left end
         # the longer contains the shorter
         words = self._fake_eblis(monkeypatch, [("0001", "001"), ("001", "01"), ("001", "0011")])
-        rep = plateaus(A_STAR, max_word_len=3, with_entropy=False)
+        rep = plateaus(A_STAR, max_word_len=3)
         assert [p.ebli.w for p in rep.plateaus if p.kind == "ebli"] == words[:2]
 
     def test_crossing_pair_raises(self, monkeypatch):
         # [0001 0^inf, 01 0^inf] and [001 0^inf, 011 0^inf] overlap without nesting
         self._fake_eblis(monkeypatch, [("0001", "01"), ("001", "011"), ("00001", "0001")])
         with pytest.raises(InvariantError, match="overlap without nesting"):
-            plateaus(A_STAR, max_word_len=3, with_entropy=False)
+            plateaus(A_STAR, max_word_len=3)
 
 
 @st.composite

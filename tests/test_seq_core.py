@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from betahole import seq_core
 from betahole.seq_core import (
     EPSeq,
     Ordering,
@@ -17,7 +20,6 @@ from betahole.seq_core import (
     periodic,
     pi_beta,
     pi_beta_at,
-    seq_key,
     shift,
     word_zeros,
 )
@@ -26,6 +28,14 @@ from betahole.errors import PreconditionError
 
 def naive_digits(x: EPSeq, n: int) -> str:
     return "".join(x.digit(i) for i in range(n))
+
+
+# |pre|, |per| <= 6: distinct sequences differ within 6 + lcm(5, 6) = 36 digits
+eps_seqs = st.builds(eps, st.text("01", max_size=6), st.text("01", min_size=1, max_size=6))
+
+
+def long_prefix(x: EPSeq) -> str:
+    return naive_digits(x, 100)
 
 
 def random_eps(rng, max_pre=5, max_per=5) -> EPSeq:
@@ -109,8 +119,37 @@ class TestLexCmp:
         y = eps("1" * 70, "01")
         assert x.prefix(71) == y.prefix(71)
         assert naive_digits(x, 200) < naive_digits(y, 200)
-        assert sorted([y, x], key=seq_key) == [x, y]
-        assert sorted([x, y], key=seq_key) == [x, y]
+        assert sorted([y, x]) == [x, y]
+        assert sorted([x, y]) == [x, y]
+
+    @settings(deadline=None)
+    @given(st.lists(eps_seqs, min_size=1, max_size=8))
+    def test_operators_sorted_min_match_long_prefix(self, xs):
+        for x in xs:
+            for y in xs:
+                a, b = long_prefix(x), long_prefix(y)
+                assert (x == y) == (a == b)
+                assert (x < y) == (a < b) and (x <= y) == (a <= b)
+                assert (x > y) == (a > b) and (x >= y) == (a >= b)
+        assert [long_prefix(x) for x in sorted(xs)] == sorted(map(long_prefix, xs))
+        assert long_prefix(min(xs)) == min(map(long_prefix, xs))
+        assert long_prefix(max(xs)) == max(map(long_prefix, xs))
+
+    def test_operators_call_lex_cmp_once_through_the_module(self, monkeypatch):
+        # the benchmark tracer rebinds seq_core.lex_cmp, so every comparison
+        # must reach it by that name
+        calls = []
+        original = seq_core.lex_cmp
+
+        def counted(x, y):
+            calls.append((x, y))
+            return original(x, y)
+
+        monkeypatch.setattr(seq_core, "lex_cmp", counted)
+        x, y = periodic("01"), periodic("1")
+        assert x < y and x <= y and y > x and y >= x
+        assert sorted([y, x]) == [x, y]
+        assert len(calls) == 5
 
 
 class TestShift:
@@ -211,3 +250,28 @@ class TestLogInterval:
 def test_format_interval_outward():
     lo, hi = format_interval(RatInterval(Fraction(1, 3), Fraction(1, 3)), places=6)
     assert lo == "0.333333" and hi == "0.333334"
+
+
+fractions = st.fractions(min_value=-10, max_value=10, max_denominator=10**9)
+
+
+@settings(deadline=None)
+@given(fractions, fractions, st.integers(0, 12))
+def test_format_interval_rounds_each_end_outward_by_under_one_unit(a, b, places):
+    x = RatInterval(min(a, b), max(a, b))
+    lo, hi = (Fraction(s) for s in format_interval(x, places))
+    unit = Fraction(1, 10**places)
+    assert lo <= x.lo < lo + unit
+    assert hi - unit < x.hi <= hi
+
+
+nonnegative = st.fractions(min_value=0, max_value=10, max_denominator=10**6)
+positive = st.fractions(min_value=Fraction(1, 10**6), max_value=10, max_denominator=10**6)
+
+
+@settings(deadline=None)
+@given(nonnegative, nonnegative, positive, positive)
+def test_divide_is_the_exact_hull_of_endpoint_quotients(a, b, c, d):
+    x, y = RatInterval(min(a, b), max(a, b)), RatInterval(min(c, d), max(c, d))
+    quotients = [p / q for p in (x.lo, x.hi) for q in (y.lo, y.hi)]
+    assert x.divide(y) == RatInterval(min(quotients), max(quotients))

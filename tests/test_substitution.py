@@ -238,11 +238,11 @@ class TestSandwich:
                 )
 
     def test_points_satisfy_bounds(self):
-        from betahole.seq_core import n_tails, seq_ge, seq_le
+        from betahole.seq_core import n_tails
 
         for s in ["01", "011", "00101"]:
             lower, upper = word_zeros(s), periodic(cyclic_max(s))
             for p in sandwich_points(s):
                 for k in range(n_tails(p)):
                     t = shift(p, k)
-                    assert seq_ge(t, lower) and seq_le(t, upper)
+                    assert lower <= t <= upper

@@ -236,7 +236,7 @@ class TestDescending:
         from betahole.lyndon_intervals import plateaus
 
         alpha = EPSeq.parse("111010(110)")
-        rep = plateaus(alpha, max_word_len=6, with_entropy=False)
+        rep = plateaus(alpha, max_word_len=6)
         rights = [p.ebli.right_seq for p in rep.plateaus if p.kind == "ebli"]
         bounds = [(r, alpha) for r in rights[:4]]
         assert descending_check(bounds)

@@ -5,7 +5,7 @@ import pytest
 from betahole.classifier import classify
 from betahole.errors import PreconditionError
 from betahole.lyndon_intervals import ebli, in_E_beta, is_beta_lyndon
-from betahole.seq_core import EPSeq, eps, periodic, seq_lt
+from betahole.seq_core import EPSeq, eps, periodic
 from betahole.substitution import phi
 from betahole.survivor_shift import entropy_of_bounds, is_transitive_sofic, build_automaton
 from betahole.windows import (
@@ -127,7 +127,7 @@ class TestWindowInvariants:
         ws = build_windows(alpha)
         for a, b in zip(ws.records, ws.records[1:]):
             if a.v != b.v:
-                assert seq_lt(periodic(b.v), periodic(a.v))
+                assert periodic(b.v) < periodic(a.v)
 
     @pytest.mark.parametrize("alpha", [A_EX_A, A_EX_E, A_EX_F])
     def test_closures_are_eblis(self, alpha):
@@ -264,7 +264,7 @@ class TestAgainstAutomaton:
         tau_g = tau_greedy_seq(record)
         checked = 0
         for w in words:
-            if not is_beta_lyndon(w, alpha) or not seq_lt(periodic(w), tau_g):
+            if not is_beta_lyndon(w, alpha) or periodic(w) >= tau_g:
                 continue
             verdict = is_transitive(w, alpha, record)
             aut = build_automaton(periodic(w), alpha)
