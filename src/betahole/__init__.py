@@ -13,11 +13,10 @@ from .base_solver import (
     TPoint,
     alpha_from_beta,
     beta_from_alpha,
-    greedy_digits,
     is_greedy_admissible,
     periodic_alpha_to_greedy_one,
 )
-from .classifier import ClassRecord, Position, classify, endpoint_alpha, locate_farey_interval, tau, theta
+from .classifier import ClassRecord, Position, classify, endpoint_alpha, tau, theta
 from .errors import BetaholeError
 from .lyndon_intervals import (
     Ebli,
@@ -28,11 +27,10 @@ from .lyndon_intervals import (
     in_E_beta,
     is_beta_lyndon,
     plateaus,
-    symbolic_plateau,
     v_star,
 )
 from .seq_core import EPSeq, Ordering, RatInterval, eps, lex_cmp, periodic, pi_beta, shift, word_zeros
-from .substitution import bullet, lambda_decompose, phi, phi_inverse, sandwich_points, u0, u1
+from .substitution import bullet, phi, phi_inverse, sandwich_points
 from .survivor_shift import (
     EntropyResult,
     ShiftAutomaton,
@@ -45,13 +43,10 @@ from .survivor_shift import (
 from .windows import WindowRecord, WindowSet, build_windows, is_transitive, maximal_windows, transitive_core
 from .word_combinatorics import (
     cyclic_max,
-    cyclic_min,
     farey_from_rational,
     farey_level,
-    is_balanced,
     is_farey,
     is_lyndon,
-    standard_factorization,
     xi,
 )
 

@@ -5,9 +5,8 @@ The exact direction is symbolic: an admissible eventually periodic alpha
 pins beta down as the unique root of pi_beta(alpha) = 1 in (1, 2], which
 we enclose by bisection at dyadic points (pi_beta is strictly decreasing
 in beta), each step decided by the sign of an integer polynomial.  The
-numeric direction runs the quasi-greedy / greedy orbit with exact
-rational arithmetic when beta is rational, and with interval arithmetic
-plus refinement when beta is only known by an enclosure.
+numeric direction runs the quasi-greedy orbit of 1 with exact rational
+arithmetic for a rational beta.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import InadmissibleAlpha, InvariantError, PreconditionError, UndecidableDigit
+from .errors import InadmissibleAlpha, InvariantError, PreconditionError
 from .seq_core import (
     EPSeq,
     ONE,
@@ -30,8 +29,6 @@ from .seq_core import (
 )
 
 DEFAULT_TOL = Fraction(1, 10**30)
-# refinements of an enclosed beta that greedy_digits tries before giving up
-MAX_REFINE = 10
 # longest period detect_eventually_periodic tries
 MAX_PERIOD = 64
 
@@ -57,11 +54,6 @@ class BetaSpec:
 
     alpha: EPSeq
     enclosure: RatInterval
-
-    def refine(self, tol: Fraction) -> "BetaSpec":
-        if self.enclosure.width() <= tol:
-            return self
-        return beta_from_alpha(self.alpha, tol=tol)
 
 
 def _excess_poly(alpha: EPSeq):
@@ -146,57 +138,6 @@ def alpha_from_beta(beta: Union[Fraction, int, str], n: int) -> str:
         if not 0 < x <= 1:
             raise InvariantError("quasi-greedy orbit left (0, 1]: %s" % (x,))
     return "".join(digits)
-
-
-def greedy_digits(t, beta, n: int) -> str:
-    """First n digits of the greedy expansion b(t, beta).
-
-    beta may be an exact rational or a BetaSpec; t is an exact rational
-    in [0, 1).  Greedy orbit: digit 1 iff beta x >= 1, x <- beta x - digit.
-    With an enclosed beta, a digit is emitted only when the whole box
-    lies on one side of the branch point; otherwise the enclosure is
-    refined (up to MAX_REFINE times, each to 2^-10 of its width) and
-    the orbit rerun.
-    """
-    t = Fraction(t)
-    if not 0 <= t < 1:
-        raise PreconditionError("greedy_digits needs 0 <= t < 1")
-    if isinstance(beta, (Fraction, int)):
-        x = t
-        b = Fraction(beta)
-        out = []
-        for _ in range(n):
-            y = b * x
-            if y >= 1:
-                out.append("1")
-                x = y - 1
-            else:
-                out.append("0")
-                x = y
-        return "".join(out)
-    if not isinstance(beta, BetaSpec):
-        raise PreconditionError("beta must be a Fraction or BetaSpec")
-    spec = beta
-    for _ in range(MAX_REFINE + 1):
-        iv = spec.enclosure
-        lo = hi = t
-        out = []
-        ok = True
-        for _ in range(n):
-            ylo, yhi = iv.lo * lo, iv.hi * hi
-            if ylo >= 1:
-                out.append("1")
-                lo, hi = ylo - 1, yhi - 1
-            elif yhi < 1:
-                out.append("0")
-                lo, hi = ylo, yhi
-            else:
-                ok = False
-                break
-        if ok:
-            return "".join(out)
-        spec = spec.refine(iv.width() / 2**10)
-    raise UndecidableDigit("greedy orbit stays on a branch point after refinement")
 
 
 def is_greedy_admissible(x: EPSeq, alpha: EPSeq) -> bool:

@@ -112,8 +112,8 @@ def _locate_factor(alpha: EPSeq, prefix_chain: Tuple[str, ...], max_steps: int):
     """Stern-Brocot descent for the next Farey factor r such that alpha
     lies in J^{S.r} (weakly), where S is the composed prefix chain.
 
-    Returns (r, flag) with flag in {"left", "right", "inside"}, or None
-    when alpha lies in no such interval (only alpha = 1^inf at top level).
+    Returns (r, flag) with flag in {"left", "right", "inside"}; alpha must
+    not be 1^inf, which lies in no such interval.
     """
     def j_bounds(r: str):
         w = compose_chain(list(prefix_chain) + [r])
@@ -134,15 +134,6 @@ def _locate_factor(alpha: EPSeq, prefix_chain: Tuple[str, ...], max_steps: int):
             return cand, "inside"
         lw = cand
     raise DepthExceeded("Stern-Brocot descent exceeded %d steps" % max_steps)
-
-
-def locate_farey_interval(alpha: EPSeq, max_steps: int = 64):
-    """The Farey word s with L(s)^inf <= alpha <= L(s)^+ s^inf, with a
-    boundary flag, or None (alpha = 1^inf only)."""
-    check_admissible_alpha(alpha)
-    if alpha == ONE:
-        return None
-    return _locate_factor(alpha, (), max_steps)
 
 
 def classify(alpha: EPSeq, max_depth: int = 64) -> ClassRecord:

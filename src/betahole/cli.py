@@ -3,8 +3,8 @@
 All payloads are JSON on stdout (schema key "betahole/1"), diagnostics
 on stderr.  Numeric values are printed as outward-rounded decimal
 enclosures, never point estimates, so output is deterministic byte for
-byte.  Exit codes: 0 success, 2 usage error, 3 precondition violation or
-undecidable input, 4 depth-limited.
+byte.  Exit codes: 0 success, 2 usage error, 3 precondition violation,
+4 depth-limited.
 """
 
 from __future__ import annotations
@@ -87,8 +87,7 @@ def cmd_tau(args) -> int:
 
 def cmd_plateaus(args) -> int:
     alpha = _alpha_arg(args.alpha)
-    spec = base_solver.beta_from_alpha(alpha, args.tol)
-    report = lyndon_intervals.plateaus(alpha, max_word_len=args.max_len, beta=spec)
+    report = lyndon_intervals.plateaus(alpha, max_word_len=args.max_len)
     rows = []
     for p in report.plateaus:
         if p.kind == "terminal":
@@ -224,8 +223,7 @@ def cmd_bifdiff(args) -> int:
 
 def cmd_gap(args) -> int:
     alpha = _alpha_arg(args.alpha)
-    record = classifier.classify(alpha)
-    point = lyndon_intervals.gap_point(record.chain, alpha, args.m)
+    point = lyndon_intervals.gap_point(classifier.classify(alpha), args.m)
     _emit({"alpha": str(alpha), "M": args.m, "seq": str(point)})
     return 0
 
@@ -354,7 +352,9 @@ def run(argv=None) -> int:
     try:
         return args.func(args)
     except DepthExceeded as exc:
+        # exit 4 always prints one JSON line, as a depth-limited classify does
         print("depth limited: %s" % exc, file=sys.stderr)
+        _emit({"position": classifier.Position.DEPTH_LIMITED.value, "reason": str(exc)})
         return 4
     except BetaholeError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -9,10 +9,6 @@ class PreconditionError(BetaholeError):
     """An operation was called outside its documented domain."""
 
 
-class UndecidableDigit(BetaholeError):
-    """A digit decision straddles a branch point at the working precision."""
-
-
 class DepthExceeded(BetaholeError):
     """A depth-limited search ran out of budget before reaching a verdict."""
 
@@ -36,10 +32,6 @@ class NotInRange(BetaholeError):
     def __init__(self, message, position=None):
         super().__init__(message)
         self.position = position
-
-
-class NotInLambda(BetaholeError):
-    """The word admits no chain of Farey substitution factors."""
 
 
 class NoCandidate(BetaholeError):

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import List, Optional, Tuple
 
-from .base_solver import BetaSpec, beta_from_alpha, is_greedy_admissible
-from .classifier import Position, classify, endpoint_position, tau
+from .base_solver import is_greedy_admissible
+from .classifier import ClassRecord, Position, classify, endpoint_position, tau_greedy_seq
 from .errors import InvariantError, NoCandidate, PreconditionError
 from .seq_core import (
     EPSeq,
@@ -29,7 +29,7 @@ from .seq_core import (
     shift,
     word_zeros,
 )
-from .substitution import bullet, compose_chain
+from .substitution import bullet
 from .survivor_shift import entropy_of_bounds
 from .word_combinatorics import cyclic_max, is_farey, is_lyndon, lyndon_words
 
@@ -92,18 +92,6 @@ def ebli(w: str, alpha: EPSeq) -> Ebli:
     return Ebli(w, eps(minus(w), minus(head)), target, m)
 
 
-def symbolic_plateau(w: str, alpha: EPSeq) -> Tuple[EPSeq, EPSeq]:
-    """The lexicographic plateau of a -> h(Sigma_{a,b}) attached to w:
-    [w^- alpha, w^inf] in the plain case, [w^- (a_1..a_m^-)^inf, w^inf]
-    otherwise."""
-    e = ebli(w, alpha)
-    if e.plain:
-        left = eps(minus(w) + alpha.pre, alpha.per)
-    else:
-        left = e.left_seq
-    return left, e.right_seq
-
-
 def in_E_beta(b: EPSeq, alpha: EPSeq) -> bool:
     """Membership of t in the bifurcation set: sigma^n(b) >= b for all n."""
     if not is_greedy_admissible(b, alpha):
@@ -128,11 +116,7 @@ class PlateauReport:
     unresolved: Tuple[Tuple[EPSeq, EPSeq], ...]
 
 
-def plateaus(
-    alpha: EPSeq,
-    max_word_len: int = 12,
-    beta: Optional[BetaSpec] = None,
-) -> PlateauReport:
+def plateaus(alpha: EPSeq, max_word_len: int = 12) -> PlateauReport:
     """Entropy plateaus up to the word-length cutoff.
 
     Enumerates beta-Lyndon words w with |w| <= max_word_len whose EBLI
@@ -140,8 +124,6 @@ def plateaus(
     appends the terminal plateau [tau(beta), 1) of entropy zero.  The
     enumeration is cutoff-limited, so the report carries an explicit
     completeness flag and the uncovered gaps inside [0, tau(beta)].
-    ``beta`` is the enclosure of the base to use; by default it is
-    computed from alpha.
 
     EBLIs are nested or disjoint.  One sweep in order of (left end
     ascending, right end descending) keeps a stack of open, nested
@@ -149,16 +131,13 @@ def plateaus(
     EBLI is maximal when none stays open, and an open one ending before
     the next right end is a crossing, which raises InvariantError.
     """
-    record = classify(alpha)
-    if beta is None:
-        beta = beta_from_alpha(alpha)
-    tau_point = tau(record, beta)
+    tau_seq = tau_greedy_seq(classify(alpha))
     candidates: List[Ebli] = []
     for w in lyndon_words(max_word_len, min_len=2):
         if not is_beta_lyndon(w, alpha):
             continue
         e = ebli(w, alpha)
-        if e.left_seq <= tau_point.greedy:
+        if e.left_seq <= tau_seq:
             candidates.append(e)
     candidates.sort(key=lambda e: e.right_seq, reverse=True)
     candidates.sort(key=lambda e: e.left_seq)
@@ -180,8 +159,8 @@ def plateaus(
         if prev is not None and prev < e.left_seq:
             gaps.append((prev, e.left_seq))
         prev = e.right_seq
-    if prev is not None and prev < tau_point.greedy:
-        gaps.append((prev, tau_point.greedy))
+    if prev is not None and prev < tau_seq:
+        gaps.append((prev, tau_seq))
     return PlateauReport(tuple(out), max_word_len, False, tuple(gaps))
 
 
@@ -207,15 +186,15 @@ def einf_exceptional_stream(farey_words):
         yield periodic(word)
 
 
-def gap_point(chain, alpha: EPSeq, M: int) -> EPSeq:
+def gap_point(record: ClassRecord, M: int) -> EPSeq:
     """Left endpoint of a beta-Lyndon gap:
-    b = S^- L(S)^M u^- L(S)^inf, where u is the suffix of S that begins
-    the largest rotation.  Requires beta in the interior of I^S and
-    M >= N with sigma^{|S|}(alpha) < S^- L(S)^N 0^inf."""
-    word = compose_chain(chain) if not isinstance(chain, str) else chain
-    record = classify(alpha)
-    if record.position is not Position.INTERIOR or record.composed != word:
+    b = S^- L(S)^M u^- L(S)^inf, where S is the composed chain of the
+    classification and u is the suffix of S that begins the largest
+    rotation.  Requires beta in the interior of I^S and M >= N with
+    sigma^{|S|}(alpha) < S^- L(S)^N 0^inf."""
+    if record.position is not Position.INTERIOR:
         raise PreconditionError("gap_point needs beta in the interior of I^S")
+    alpha, word = record.alpha, record.composed
     L = cyclic_max(word)
     j = next(i for i in range(len(word)) if word[i:] + word[:i] == L)
     u = word[j:]

@@ -1,8 +1,7 @@
 """Substitutions on 0-1 words and sequences.
 
-Besides the elementary U0 / U1 maps, this module implements the
-four-block substitution Phi_s of a Lyndon word s: runs of the argument
-map to blocks
+This module implements the four-block substitution Phi_s of a Lyndon
+word s: runs of the argument map to blocks
 
     0-run of length k  ->  s^-  L(s)^(k-1)
     1-run of length l  ->  L(s)^+  s^(l-1)
@@ -19,27 +18,9 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .errors import InvariantError, NotInLambda, NotInRange, PreconditionError
+from .errors import NotInRange, PreconditionError
 from .seq_core import EPSeq, check_word, minus, periodic, plus, shift
-from .word_combinatorics import cyclic_max, farey_words_of_length, is_farey, is_lyndon
-
-
-def _sub_word(w: str, image0: str, image1: str) -> str:
-    return "".join(image0 if c == "0" else image1 for c in w)
-
-
-def u0(x):
-    """U0: 0 -> 0, 1 -> 01, on a word or an EPSeq."""
-    if isinstance(x, EPSeq):
-        return EPSeq(_sub_word(x.pre, "0", "01"), _sub_word(x.per, "0", "01"))
-    return _sub_word(check_word(x), "0", "01")
-
-
-def u1(x):
-    """U1: 0 -> 01, 1 -> 1, on a word or an EPSeq."""
-    if isinstance(x, EPSeq):
-        return EPSeq(_sub_word(x.pre, "01", "1"), _sub_word(x.per, "01", "1"))
-    return _sub_word(check_word(x), "01", "1")
+from .word_combinatorics import cyclic_max, is_farey, is_lyndon
 
 
 def _runs(w: str):
@@ -190,43 +171,6 @@ def phi_inverse(s: str, x):
         prev = _next_kind(blocks, x.prefix(pos + m)[pos:], prev, pos)
         digits.append(_KIND_DIGIT[prev])
         pos += m
-
-
-def lambda_decompose(word: str):
-    """Chain [s1, ..., sk] of Farey factors with word = s1 . s2 . ... . sk.
-
-    Candidate first factors s1 are Farey words whose length divides
-    |word| and is at most |word| / 2; Phi_{s1}(r) always begins with
-    s1^-, which prunes most candidates before attempting a parse.  The
-    chain is unique; if two distinct chains validate, that is a genuine
-    inconsistency and an InvariantError is raised.
-    """
-    if not is_lyndon(word):
-        raise NotInLambda("%r is not Lyndon" % (word,))
-    found = []
-    if is_farey(word):
-        found.append([word])
-    n = len(word)
-    for d in range(2, n // 2 + 1):
-        if n % d != 0:
-            continue
-        for s1 in farey_words_of_length(d):
-            if len(s1) < 2 or not word.startswith(minus(s1)):
-                continue
-            try:
-                pre, _ = phi_inverse_word(s1, word)
-            except NotInRange:
-                continue
-            try:
-                rest = lambda_decompose(pre)
-            except NotInLambda:
-                continue
-            found.append([s1] + rest)
-    if not found:
-        raise NotInLambda("%r admits no Farey substitution chain" % (word,))
-    if len(found) > 1:
-        raise InvariantError("ambiguous Lambda chains for %r: %r" % (word, found))
-    return found[0]
 
 
 def sandwich_points(s: str):

@@ -11,18 +11,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvariantError, PreconditionError
+from .errors import PreconditionError
 from .seq_core import check_word
 
 
 def rotations(w: str):
     return [w[i:] + w[:i] for i in range(len(w))]
-
-
-def cyclic_min(w: str) -> str:
-    """S(w): lexicographically smallest rotation."""
-    check_word(w, allow_empty=False)
-    return min(rotations(w))
 
 
 def cyclic_max(w: str) -> str:
@@ -152,48 +146,3 @@ def farey_from_rational(r) -> str:
             rw, rf = mw, mf
         else:
             lw, lf = mw, mf
-
-
-def farey_words_of_length(n: int) -> list:
-    """All Farey words of exactly length n, in lexicographic order."""
-    if n == 1:
-        return ["0", "1"]
-    words = [
-        farey_from_rational(Fraction(k, n))
-        for k in range(1, n)
-        if Fraction(k, n).denominator == n
-    ]
-    return sorted(words)
-
-
-def is_balanced(w: str) -> bool:
-    """Every pair of equal-length subwords differs by at most one 1."""
-    check_word(w)
-    n = len(w)
-    ones = [0] * (n + 1)
-    for i, c in enumerate(w):
-        ones[i + 1] = ones[i] + int(c)
-    for length in range(1, n):
-        counts = [ones[i + length] - ones[i] for i in range(n - length + 1)]
-        if max(counts) - min(counts) > 1:
-            return False
-    return True
-
-
-def standard_factorization(s: str):
-    """The unique split s = s1 s2 with s1, s2 both Farey.
-
-    Found by scanning split points; the word lengths at play are small,
-    so the quadratic scan is fine.
-    """
-    if not is_farey(s) or len(s) < 2:
-        raise PreconditionError("standard_factorization needs a Farey word of length >= 2")
-    found = None
-    for i in range(1, len(s)):
-        if is_farey(s[:i]) and is_farey(s[i:]):
-            if found is not None:
-                raise InvariantError("standard factorization not unique for %r" % (s,))
-            found = (s[:i], s[i:])
-    if found is None:
-        raise InvariantError("no standard factorization for Farey word %r" % (s,))
-    return found

@@ -10,7 +10,6 @@ from betahole.base_solver import (
     alpha_from_beta,
     beta_from_alpha,
     detect_eventually_periodic,
-    greedy_digits,
     is_admissible_alpha,
     is_greedy_admissible,
     periodic_alpha_to_greedy_one,
@@ -216,53 +215,12 @@ class TestRoundTrip:
             assert abs(spec2.enclosure.mid() - spec.enclosure.mid()) < Fraction(1, 10**10)
 
 
-class TestGreedyDigits:
-    def test_zero(self):
-        spec = beta_from_alpha(periodic("110"))
-        assert greedy_digits(0, spec, 8) == "0" * 8
-
-    def test_binary_third(self):
-        assert greedy_digits(Fraction(1, 3), Fraction(2), 10) == "01" * 5
-
-    def test_half_base_two(self):
-        assert greedy_digits(Fraction(1, 2), Fraction(2), 6) == "100000"
-
-    def test_reproduces_value(self):
-        # t is sandwiched between the truncation-low and truncation-high
-        # values of its greedy digit prefix, with outward beta rounding
-        rng = random.Random(77)
-        for _ in range(25):
-            alpha = random_admissible_alpha(rng, 5)
-            spec = beta_from_alpha(alpha)
-            t = Fraction(rng.randrange(1, 64), 64)
-            digits = greedy_digits(t, spec, 40)
-            low = pi_beta_at(eps(digits, "0"), spec.enclosure.hi)
-            high = pi_beta_at(eps(digits, "1"), spec.enclosure.lo)
-            assert low <= t <= high
-
-    def test_monotone_in_t(self):
-        spec = beta_from_alpha(periodic("110"))
-        prev = None
-        for k in range(1, 16):
-            digits = greedy_digits(Fraction(k, 16), spec, 30)
-            if prev is not None:
-                assert prev <= digits
-            prev = digits
-
-
 class TestAdmissibility:
     def test_examples(self):
         assert is_greedy_admissible(periodic("011"), eps("111010", "110"))
         alpha = eps("111010", "110")
         assert not is_greedy_admissible(alpha, alpha)
         assert not is_greedy_admissible(periodic("110"), periodic("110"))
-
-    def test_greedy_output_is_admissible(self):
-        spec = beta_from_alpha(periodic("110"))
-        digits = greedy_digits(Fraction(1, 3), spec, 36)
-        detected = detect_eventually_periodic(digits)
-        if detected is not None:
-            assert is_greedy_admissible(detected, spec.alpha)
 
 
 class TestPeriodicGreedyOne:

@@ -9,7 +9,6 @@ from betahole.classifier import (
     classify,
     endpoint_alpha,
     left_alpha,
-    locate_farey_interval,
     right_alpha,
     star_alpha,
     tau,
@@ -23,21 +22,22 @@ F23 = [s for s in farey_level(3) if len(s) >= 2]
 
 
 class TestLocate:
+    # the first Farey factor of the chain and the position at depth 1
     def test_paper_cases(self):
-        s, flag = locate_farey_interval(EPSeq.parse("111010(110)"))
-        assert (s, flag) == ("011", "inside")
-        s, flag = locate_farey_interval(EPSeq.parse("11(01)"))
-        assert (s, flag) == ("01", "right")
-        s, flag = locate_farey_interval(periodic("10"))
-        assert (s, flag) == ("01", "left")
+        record = classify(EPSeq.parse("111010(110)"))
+        assert (record.chain[0], record.depth, record.position) == ("011", 1, Position.STAR)
+        record = classify(EPSeq.parse("11(01)"))
+        assert (record.chain[0], record.depth, record.position) == ("01", 1, Position.RIGHT)
+        record = classify(periodic("10"))
+        assert (record.chain[0], record.depth, record.position) == ("01", 1, Position.LEFT)
 
     def test_one_periodic_has_no_interval(self):
-        assert locate_farey_interval(periodic("1")) is None
+        assert classify(periodic("1")).chain == ()
 
     def test_defining_inequalities(self):
         for text in ["111010(110)", "(1110101100)", "1110100110111(001)", "110100000(10)"]:
             alpha = EPSeq.parse(text)
-            s, _ = locate_farey_interval(alpha)
+            s = classify(alpha).chain[0]
             assert left_alpha(s) <= alpha
             assert alpha <= right_alpha(s)
 
@@ -123,7 +123,7 @@ class TestDepthLimits:
 
         deep = endpoint_alpha(["00001"], "l")  # Stern-Brocot depth 4
         with pytest.raises(DepthExceeded):
-            locate_farey_interval(deep, max_steps=2)
+            classify(deep, max_depth=2)
 
     def test_classify_depth_limited(self):
         record = classify(EPSeq.parse("110100000(10)"), max_depth=1)

@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 
 def run_cli(*argv, env=None):
@@ -216,3 +218,90 @@ class TestInProcess:
         code = cli.run(["transitive", "--alpha", "(1110101100)", "--word", "01011"])
         assert code == 0, capsys.readouterr().err
         assert len(calls) == 1
+
+
+# An argument grammar over all 11 subcommands: admissible, inadmissible
+# and malformed alphas, bad counts, and now and then a missing required
+# flag.  Inputs stay small (--max-len <= 6, --points <= 5).
+ADMISSIBLE = ["(1)", "(110)", "111010(110)", "(1110101100)", "1110100110111(001)", "11(01)", "(10000)"]
+MALFORMED = ["(0)", "0(110)", "(01)", "1(0)", "", "abc", "(", "()", "12(1)", "(1)x"]
+# half the draws are admissible, so that most reach the library
+ALPHAS = st.booleans().flatmap(
+    lambda ok: st.sampled_from(ADMISSIBLE) if ok else st.sampled_from(MALFORMED) | st.text("01()", max_size=8))
+LOWERS = st.sampled_from(["(0)", "(01)", "(001)", "0(01)", "(011)", "01(1)"]) | ALPHAS
+
+
+def _flag(name, values, required=True):
+    """[name, value]; a required flag is left out one time in twenty (a
+    usage error), an optional one half the time."""
+    drop = st.integers(0, 19 if required else 1)
+    return st.tuples(drop, values).map(lambda t: [] if t[0] == 0 else [name, t[1]])
+
+
+def _given(name, values):
+    """[name, value], always: for a flag whose default input is large."""
+    return values.map(lambda v: [name, v])
+
+
+def _counts(*good):
+    """Mostly good counts, else a negative or non-integer one."""
+    return st.sampled_from(2 * list(good) + ["-1", "x"])
+
+
+COMMANDS = {
+    "alpha": [_flag("--beta", st.sampled_from(["2", "9/5", "3/2", "1", "5/2", "1/0", "x"])),
+              _flag("--digits", _counts("0", "8"), required=False)],
+    "beta": [_flag("--alpha", ALPHAS)],
+    "classify": [_flag("--alpha", ALPHAS), _flag("--max-depth", _counts("0", "1", "2", "64"), required=False)],
+    "tau": [_flag("--alpha", ALPHAS)],
+    "plateaus": [_flag("--alpha", ALPHAS), _given("--max-len", _counts("0", "1", "6"))],
+    "windows": [_flag("--alpha", ALPHAS)],
+    "transitive": [_flag("--alpha", ALPHAS),
+                   _flag("--word", st.sampled_from(["01", "011", "01011", "01010111", "0011", "10", "1", "", "2"]))],
+    "entropy": [_flag("--alpha", ALPHAS), _flag("--lower", LOWERS)],
+    "staircase": [_flag("--alpha", ALPHAS), _given("--points", _counts("0", "1", "5")),
+                  _flag("--out", st.sampled_from(["<out>", "<unwritable>"]), required=False)],
+    "bifdiff": [_flag("--chain", st.sampled_from(["01", "01,001", "011", "0011", "01,", "1", ""])),
+                _flag("--which", st.sampled_from(["l", "s", "r", "*"]))],
+    "gap": [_flag("--alpha", ALPHAS), _flag("--m", _counts("0", "2", "5"))],
+}
+ARGV = st.sampled_from(sorted(COMMANDS)).flatmap(
+    lambda name: st.tuples(*COMMANDS[name]).map(lambda parts: [name] + [a for part in parts for a in part]))
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+class TestExitCodeContract:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=ARGV)
+    def test_exit_code_and_stdout(self, argv, out_dir, capsys, monkeypatch):
+        from betahole import cli
+
+        monkeypatch.delenv("BETAHOLE_PRECISION", raising=False)
+        paths = {"<out>": str(out_dir / "stairs.csv"), "<unwritable>": str(out_dir / "missing" / "stairs.csv")}
+        argv = [paths.get(a, a) for a in argv]
+        capsys.readouterr()
+        code = cli.run(argv)
+        out = capsys.readouterr().out
+        assert code in (0, 2, 3, 4), argv
+        if code in (2, 3):
+            assert out == "", argv
+        elif argv[0] == "staircase" and code == 0:
+            # CSV on stdout, or nothing when it went to --out
+            assert out == "" if "--out" in argv else out.startswith("t_lo,t_hi,dim_lo,dim_hi,seq\n"), argv
+        else:
+            assert out.endswith("\n") and out.count("\n") == 1, argv
+            assert json.loads(out)["schema"] == "betahole/1", argv
+
+    def test_depth_exceeded_prints_json(self, capsys):
+        # the Stern-Brocot descent to the factor 00001 needs 4 steps
+        from betahole import cli
+
+        code = cli.run(["classify", "--alpha", "(10000)", "--max-depth", "2"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert json.loads(captured.out)["position"] == "depth_limited"
+        assert "depth limited" in captured.err

@@ -17,7 +17,7 @@ from betahole.seq_core import EPSeq, eps, minus, periodic
 from betahole.substitution import phi
 from betahole.survivor_shift import build_automaton, entropy_of_bounds, is_transitive_sofic
 from betahole.windows import is_transitive, transitive_core
-from betahole.word_combinatorics import lyndon_words
+from betahole.word_combinatorics import farey_level, lyndon_words
 from oracles import transitive_core_separate
 
 WORD_POOL = list(lyndon_words(8, min_len=2))
@@ -252,3 +252,34 @@ def test_verdict_core_matches_separate_core_sweep(alpha):
     for w in CORE_POOL:
         if is_beta_lyndon(w, alpha) and periodic(w) < tau_g:
             _assert_core_matches_separate(w, alpha, record)
+
+
+# every Farey word of length 2..6 (a Farey word of length n has
+# Stern-Brocot depth n - 1, so all of them appear by level 5)
+FAREY_2_6 = [s for s in farey_level(5) if 2 <= len(s) <= 6]
+
+
+@st.composite
+def farey_and_alpha_hats(draw):
+    """A Farey word S with 2 <= |S| <= 6 and an admissible alpha-hat,
+    beta-hat = 2 included."""
+    s = draw(st.sampled_from(FAREY_2_6))
+    pre = draw(st.text("01", max_size=5))
+    per = draw(st.text("01", min_size=1, max_size=6))
+    alpha_hat = eps("1" + pre, per)
+    assume(is_admissible_alpha(alpha_hat))
+    return s, alpha_hat
+
+
+@settings(max_examples=150, deadline=None)
+@given(farey_and_alpha_hats())
+def test_renormalization_prefixes_the_chain(case):
+    # alpha(beta) = Phi_S(alpha(beta-hat)) puts beta in the basic interval
+    # I^S at the position beta-hat has in the renormalized picture; beta-hat
+    # = 2 maps to the right endpoint beta_r^S
+    s, alpha_hat = case
+    inner = classify(alpha_hat)
+    outer = classify(phi(s, alpha_hat))
+    assert outer.chain == (s,) + inner.chain, (s, str(alpha_hat))
+    expected = Position.RIGHT if inner.position is Position.TWO else inner.position
+    assert outer.position is expected, (s, str(alpha_hat))

@@ -17,7 +17,6 @@ from betahole.lyndon_intervals import (
     in_E_beta,
     is_beta_lyndon,
     plateaus,
-    symbolic_plateau,
     v_star,
 )
 from betahole.seq_core import EPSeq, eps, periodic, pi_beta, shift, word_zeros
@@ -139,18 +138,6 @@ class TestEbliEntropyConstancy:
             assert abs(float(h_left.mid() - h_right.mid())) < 1e-9, (w, str(alpha))
 
 
-class TestSymbolicPlateau:
-    def test_beta_two(self):
-        left, right = symbolic_plateau("01", periodic("1"))
-        assert left == eps("00", "1")
-        assert right == periodic("01")
-
-    def test_extended(self):
-        left, right = symbolic_plateau("011", A_STAR)
-        assert left == eps("010", "110")
-        assert right == periodic("011")
-
-
 class TestInEBeta:
     def test_examples(self):
         assert in_E_beta(periodic("0"), A_STAR)
@@ -246,19 +233,19 @@ class TestGapPoint:
     def test_structure(self):
         alpha = EPSeq.parse("1110100110111(001)")
         for M in (2, 3, 5):
-            g = gap_point(["011"], alpha, M)
+            g = gap_point(classify(alpha), M)
             # b = S^- L(S)^M u^- L(S)^inf with S = 011, u = 11
             assert g == eps("010" + "110" * M + "10", "110")
             assert in_E_beta(g, alpha)
 
     def test_distinct_for_distinct_m(self):
         alpha = EPSeq.parse("1110100110111(001)")
-        assert gap_point(["011"], alpha, 2) != gap_point(["011"], alpha, 3)
+        assert gap_point(classify(alpha), 2) != gap_point(classify(alpha), 3)
 
     def test_no_beta_lyndon_prefix_completion_beyond_construction(self):
         alpha = EPSeq.parse("1110100110111(001)")
         M = 2
-        g = gap_point(["011"], alpha, M)
+        g = gap_point(classify(alpha), M)
         start = (M + 1) * 3 + 2
         for k in range(start + 1, start + 10):
             if g.digit(k - 1) == "0":
@@ -268,11 +255,11 @@ class TestGapPoint:
     def test_below_threshold_rejected(self):
         alpha = EPSeq.parse("1110100110111(001)")
         with pytest.raises(PreconditionError):
-            gap_point(["011"], alpha, 0)
+            gap_point(classify(alpha), 0)
 
     def test_requires_interior(self):
         with pytest.raises(PreconditionError):
-            gap_point(["011"], A_STAR, 5)
+            gap_point(classify(A_STAR), 5)
 
 
 class TestNonDenseGap:

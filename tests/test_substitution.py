@@ -2,18 +2,14 @@ import random
 
 import pytest
 
-from betahole.errors import NotInLambda, NotInRange, PreconditionError
+from betahole.errors import NotInRange, PreconditionError
 from betahole.seq_core import eps, lex_cmp, periodic, shift, word_zeros
 from betahole.substitution import (
     bullet,
-    compose_chain,
-    lambda_decompose,
     phi,
     phi_inverse,
     phi_inverse_word,
     sandwich_points,
-    u0,
-    u1,
 )
 from betahole.word_combinatorics import cyclic_max, farey_level, is_lyndon
 
@@ -25,32 +21,6 @@ def random_eps(rng, max_pre=4, max_per=4):
 
 
 FAREY_POOL = [s for s in farey_level(4) if len(s) >= 2]
-
-
-class TestU0U1:
-    def test_examples(self):
-        assert u0(periodic("1")) == periodic("01")
-        assert u1(periodic("0")) == periodic("01")
-        assert u0("011") == "00101"
-
-    def test_homomorphic_on_sequences(self):
-        rng = random.Random(31)
-        for _ in range(100):
-            x = random_eps(rng)
-            for sub, im0, im1 in [(u0, "0", "01"), (u1, "01", "1")]:
-                y = sub(x)
-                raw = "".join(im0 if c == "0" else im1 for c in (x.pre + x.per * 12))
-                assert "".join(y.digit(i) for i in range(len(raw))) == raw
-
-    def test_strictly_increasing(self):
-        rng = random.Random(37)
-        for _ in range(150):
-            x, y = random_eps(rng), random_eps(rng)
-            if x == y:
-                continue
-            want = lex_cmp(x, y).value
-            assert lex_cmp(u0(x), u0(y)).value == want
-            assert lex_cmp(u1(x), u1(y)).value == want
 
 
 class TestPhi:
@@ -182,23 +152,6 @@ class TestPhiInverse:
             assert exc.position == 4
         else:
             raise AssertionError("expected a parse failure")
-
-
-class TestLambdaDecompose:
-    def test_examples(self):
-        assert lambda_decompose("001011") == ["01", "001"]
-        assert lambda_decompose("011") == ["011"]
-        with pytest.raises(NotInLambda):
-            lambda_decompose("0010111")
-
-    def test_round_trip(self):
-        rng = random.Random(71)
-        for _ in range(80):
-            chain = [rng.choice(FAREY_POOL) for _ in range(rng.randrange(1, 4))]
-            word = compose_chain(chain)
-            if len(word) > 40:
-                continue
-            assert lambda_decompose(word) == chain
 
 
 class TestSandwich:

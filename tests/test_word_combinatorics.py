@@ -1,21 +1,14 @@
 import random
 from fractions import Fraction
 
-import pytest
-
-from betahole.errors import PreconditionError
 from betahole.word_combinatorics import (
     cyclic_max,
-    cyclic_min,
     farey_from_rational,
     farey_level,
-    farey_words_of_length,
-    is_balanced,
     is_farey,
     is_lyndon,
     lyndon_words,
     rotations,
-    standard_factorization,
     xi,
 )
 
@@ -48,7 +41,6 @@ class TestCyclicExtremes:
     def test_examples(self):
         assert cyclic_max("01011") == "11010"  # reverse of the Farey word
         assert cyclic_max("0011") == "1100"
-        assert cyclic_min("110") == "011"
 
     def test_oracle(self):
         rng = random.Random(2)
@@ -56,7 +48,6 @@ class TestCyclicExtremes:
             w = "".join(rng.choice("01") for _ in range(1, 9))
             rots = rotations(w)
             assert cyclic_max(w) == max(rots)
-            assert cyclic_min(w) == min(rots)
 
 
 class TestFareyLevels:
@@ -113,45 +104,12 @@ class TestXi:
         assert len(set(values)) == len(values)
 
     def test_words_of_length(self):
+        # the Farey words of length n >= 2 are the words of slope k/n in
+        # lowest terms, one for each such fraction
         for n in range(2, 10):
-            words = farey_words_of_length(n)
-            assert all(len(w) == n and is_farey(w) for w in words)
-            # one word per reduced fraction k/n
-            assert len(words) == sum(1 for k in range(1, n) if Fraction(k, n).denominator == n)
-
-
-class TestBalanced:
-    def test_examples(self):
-        for s in farey_level(3):
-            assert is_balanced(s)
-        assert not is_balanced("1100")
-        assert is_balanced("10")
-
-    def test_subwords_of_balanced_are_balanced(self):
-        w = farey_from_rational(Fraction(3, 8)) * 3
-        for i in range(len(w)):
-            for j in range(i + 1, min(i + 9, len(w))):
-                if is_balanced(w):
-                    assert is_balanced(w[i:j]) or not is_balanced(w)
-
-
-class TestStandardFactorization:
-    def test_examples(self):
-        assert standard_factorization("011") == ("01", "1")
-        assert standard_factorization("01011") == ("01", "011")
-        assert standard_factorization("001") == ("0", "01")
-
-    def test_unique_and_recombines(self):
-        for s in farey_level(5):
-            if len(s) < 2:
-                continue
-            a, b = standard_factorization(s)
-            assert a + b == s
-            assert is_farey(a) and is_farey(b)
-
-    def test_rejects_non_farey(self):
-        with pytest.raises(PreconditionError):
-            standard_factorization("0011")
+            farey = sorted(w for w in (format(b, "0%db" % n) for b in range(2**n)) if is_farey(w))
+            slopes = [Fraction(k, n) for k in range(1, n) if Fraction(k, n).denominator == n]
+            assert farey == sorted(farey_from_rational(r) for r in slopes)
 
 
 class TestFareyWordFacts:
@@ -165,4 +123,3 @@ class TestFareyWordFacts:
             sm = s[:-1] + "0"
             assert sm == sm[::-1]
             assert is_lyndon(s)
-            assert cyclic_min(s) == s
