@@ -15,21 +15,23 @@ The descent locates each Farey factor by Stern-Brocot search comparing
 alpha against explicitly constructed interval endpoints of the composed
 chain, so no inverse substitution parse is needed (interiors of deeper
 basic intervals are not in the range of the first-level substitution).
+Each descent takes fewer than n_tails(alpha) steps (``_locate_factor``).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
-from .base_solver import BetaSpec, TPoint, beta_from_alpha, check_admissible_alpha, t_point_value
-from .errors import DepthExceeded, InvariantError, PreconditionError
+from .base_solver import BetaSpec, TPoint, check_admissible_alpha, t_point_value
+from .errors import InvariantError, PreconditionError
 from .seq_core import (
     EPSeq,
     ONE,
     eps,
     minus,
+    n_tails,
     periodic,
     plus,
     word_zeros,
@@ -44,8 +46,7 @@ class Position(enum.Enum):
     INTERIOR = "interior"          # beta in (beta_l^S, beta_*^S)
     STAR = "star"                  # beta_*^S
     RIGHT = "right"                # beta_r^S
-    BETWEEN = "between"            # in J^S \ I^S, unresolved at the depth limit
-    DEPTH_LIMITED = "depth_limited"
+    DEPTH_LIMITED = "depth_limited"  # chain cut at classify's max_depth
 
 
 @dataclass(frozen=True)
@@ -108,21 +109,28 @@ def endpoint_alpha(chain, which: str) -> EPSeq:
     return right_alpha(word)
 
 
-def _locate_factor(alpha: EPSeq, prefix_chain: Tuple[str, ...], max_steps: int):
+def _locate_factor(alpha: EPSeq, prefix_chain: Tuple[str, ...]):
     """Stern-Brocot descent for the next Farey factor r such that alpha
     lies in J^{S.r} (weakly), where S is the composed prefix chain.
 
     Returns (r, flag) with flag in {"left", "right", "inside"}; alpha must
     not be 1^inf, which lies in no such interval.
-    """
-    def j_bounds(r: str):
-        w = compose_chain(list(prefix_chain) + [r])
-        return left_alpha(w), right_alpha(w)
 
+    The descent takes fewer than n_tails(alpha) steps: the candidate at
+    step i has length >= i + 2, and n_tails(alpha) >= m = |S.r| >= |r|
+    for an admissible alpha in J^W = [L^inf, L^+ W^inf], W = S.r (Lyndon,
+    see ``bullet``), L = L(W) = c_1..c_m with c_m = 0.  Proof: alpha =
+    L^inf has m tails.  Otherwise alpha begins with L^+ (were it L^k L^+
+    with k >= 1, sigma^m(alpha) > alpha), so alpha = L^+ z, z <= W^inf.
+    If n_tails(alpha) < m, z = sigma^s(alpha) for some s <= m - 2, so
+    z = (c_{s+1}..c_{m-1} 1)^inf > sigma^s(L^inf) >= W^inf.  A longer
+    descent is a bug: InvariantError.
+    """
     lw, rw = "0", "1"
-    for _ in range(max_steps):
+    for _ in range(n_tails(alpha)):
         cand = lw + rw
-        lo, hi = j_bounds(cand)
+        w = compose_chain(prefix_chain + (cand,))
+        lo, hi = left_alpha(w), right_alpha(w)
         if alpha < lo:
             rw = cand
             continue
@@ -133,17 +141,18 @@ def _locate_factor(alpha: EPSeq, prefix_chain: Tuple[str, ...], max_steps: int):
                 return cand, "right"
             return cand, "inside"
         lw = cand
-    raise DepthExceeded("Stern-Brocot descent exceeded %d steps" % max_steps)
+    raise InvariantError("Stern-Brocot descent found no factor of %s" % (alpha,))
 
 
 def classify(alpha: EPSeq, max_depth: int = 64) -> ClassRecord:
-    """Full renormalization classification of an admissible alpha."""
+    """Full renormalization classification of an admissible alpha; a chain
+    deeper than ``max_depth`` gives DEPTH_LIMITED with the factors found."""
     check_admissible_alpha(alpha)
     if alpha == ONE:
         return ClassRecord((), Position.TWO, alpha)
     chain: Tuple[str, ...] = ()
     for _ in range(max_depth):
-        r, flag = _locate_factor(alpha, chain, max_steps=max_depth)
+        r, flag = _locate_factor(alpha, chain)
         chain = chain + (r,)
         word = compose_chain(chain)
         if flag == "left":
@@ -175,7 +184,7 @@ def tau_greedy_seq(record: ClassRecord) -> EPSeq:
       beta_r^S      -> S 0^inf
     """
     if record.position is Position.DEPTH_LIMITED:
-        raise DepthExceeded("tau undefined for a depth-limited classification")
+        raise PreconditionError("tau undefined for a depth-limited classification")
     if record.position is Position.TWO:
         return word_zeros("1")
     word = record.composed
@@ -184,11 +193,9 @@ def tau_greedy_seq(record: ClassRecord) -> EPSeq:
     return eps(minus(word), cyclic_max(word))
 
 
-def tau(record: ClassRecord, beta: Optional[BetaSpec] = None) -> TPoint:
+def tau(record: ClassRecord, beta: BetaSpec) -> TPoint:
     """The critical point tau(beta): the smallest t with dim_H K_beta(t) = 0."""
     greedy = tau_greedy_seq(record)
-    if beta is None:
-        beta = beta_from_alpha(record.alpha)
     return TPoint(greedy=greedy, value=t_point_value(greedy, beta))
 
 

@@ -4,7 +4,7 @@ All payloads are JSON on stdout (schema key "betahole/1"), diagnostics
 on stderr.  Numeric values are printed as outward-rounded decimal
 enclosures, never point estimates, so output is deterministic byte for
 byte.  Exit codes: 0 success, 2 usage error, 3 precondition violation,
-4 depth-limited.
+4 a chain deeper than ``classify --max-depth``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import base_solver, classifier, lyndon_intervals, survivor_shift, windows
-from .errors import BetaholeError, DepthExceeded
+from .errors import BetaholeError
 from .seq_core import EPSeq, RatInterval, format_interval, log_interval, periodic
 from .word_combinatorics import lyndon_words
 
@@ -351,11 +351,6 @@ def run(argv=None) -> int:
     args.tol = tol
     try:
         return args.func(args)
-    except DepthExceeded as exc:
-        # exit 4 always prints one JSON line, as a depth-limited classify does
-        print("depth limited: %s" % exc, file=sys.stderr)
-        _emit({"position": classifier.Position.DEPTH_LIMITED.value, "reason": str(exc)})
-        return 4
     except BetaholeError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3

@@ -9,10 +9,6 @@ class PreconditionError(BetaholeError):
     """An operation was called outside its documented domain."""
 
 
-class DepthExceeded(BetaholeError):
-    """A depth-limited search ran out of budget before reaching a verdict."""
-
-
 class InvariantError(BetaholeError):
     """An internal invariant failed; this is a bug, not bad input.
 

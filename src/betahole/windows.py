@@ -35,6 +35,7 @@ from .seq_core import (
     ZERO,
     eps,
     minus,
+    n_tails,
     periodic,
     shift,
 )
@@ -75,14 +76,12 @@ def _scan_sequence(alpha: EPSeq) -> EPSeq:
     return alpha
 
 
-# window steps build_windows takes before giving up
-MAX_WINDOWS = 4096
-
-
 def build_windows(alpha: EPSeq, record: Optional[ClassRecord] = None) -> WindowSet:
     """The full window list for beta in the interior of a basic interval.
 
     ``record`` is the classification of alpha; by default it is computed.
+    Each pass returns or records a new tail of the scanned sequence A, so
+    n_tails(A) + 1 passes suffice.
     """
     if record is None:
         record = classify(alpha)
@@ -95,7 +94,7 @@ def build_windows(alpha: EPSeq, record: Optional[ClassRecord] = None) -> WindowS
     records: List[WindowRecord] = []
     seen = {}
     k = 0
-    while len(records) < MAX_WINDOWS:
+    for _ in range(n_tails(A) + 1):
         tail = shift(A, j)
         if tail == ZERO:
             return WindowSet(tuple(records), None)
@@ -130,7 +129,7 @@ def build_windows(alpha: EPSeq, record: Optional[ClassRecord] = None) -> WindowS
             )
         )
         j += n
-    raise PreconditionError("window construction exceeded %d steps" % MAX_WINDOWS)
+    raise InvariantError("window scan of %s outran its tails" % (A,))
 
 
 def _next_v(A: EPSeq, j: int) -> Optional[str]:

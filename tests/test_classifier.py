@@ -2,23 +2,29 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betahole.base_solver import beta_from_alpha, is_greedy_admissible
 from betahole.classifier import (
     Position,
     classify,
     endpoint_alpha,
+    endpoint_position,
     left_alpha,
     right_alpha,
     star_alpha,
     tau,
+    tau_greedy_seq,
     theta,
 )
+from betahole.errors import PreconditionError
 from betahole.seq_core import EPSeq, eps, periodic, pi_beta_at, word_zeros
 from betahole.substitution import compose_chain, phi
-from betahole.word_combinatorics import farey_level
+from betahole.word_combinatorics import farey_from_rational, farey_level
 
 F23 = [s for s in farey_level(3) if len(s) >= 2]
+F2 = [s for s in farey_level(2) if len(s) >= 2]  # 001, 01, 011
 
 
 class TestLocate:
@@ -77,6 +83,20 @@ class TestClassify:
                 assert record.position is pos, (chain, which)
                 assert record.chain == chain, (chain, which)
 
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.integers(64, 100),
+        st.lists(st.sampled_from(F2), max_size=2),
+        st.integers(0, 2),
+        st.sampled_from(["l", "*", "r"]),
+    )
+    def test_endpoint_round_trip_long_factor(self, k, short, at, which):
+        # a Farey factor 0^k 1 needs k Stern-Brocot steps, more than the
+        # default max_depth = 64; classify still returns the chain
+        chain = tuple(short[:at]) + (farey_from_rational(Fraction(1, k + 1)),) + tuple(short[at:])
+        record = classify(endpoint_alpha(chain, which))
+        assert (record.chain, record.position) == (chain, endpoint_position(which)), (chain, which)
+
     def test_exactly_one_label(self):
         # rechecking the defining inequalities of the produced class
         for text in ["111010(110)", "(1100)", "11(01)", "(1110101100)"]:
@@ -119,15 +139,19 @@ class TestClassify:
 
 class TestDepthLimits:
     def test_locate_depth_exceeded(self):
-        from betahole.errors import DepthExceeded
-
-        deep = endpoint_alpha(["00001"], "l")  # Stern-Brocot depth 4
-        with pytest.raises(DepthExceeded):
-            classify(deep, max_depth=2)
+        # the Stern-Brocot descent to 00001 takes 4 steps; max_depth caps
+        # only the chain depth, which is 1
+        deep = endpoint_alpha(["00001"], "l")
+        record = classify(deep, max_depth=2)
+        assert (record.chain, record.position) == (("00001",), Position.LEFT)
+        record = classify(deep, max_depth=0)
+        assert (record.chain, record.position) == ((), Position.DEPTH_LIMITED)
 
     def test_classify_depth_limited(self):
         record = classify(EPSeq.parse("110100000(10)"), max_depth=1)
         assert record.position is Position.DEPTH_LIMITED
+        with pytest.raises(PreconditionError):
+            tau_greedy_seq(record)
 
 
 class TestEndpointAlpha:
@@ -144,13 +168,13 @@ class TestEndpointAlpha:
 
 class TestTau:
     def test_star_case(self):
-        record = classify(EPSeq.parse("111010(110)"))
-        t = tau(record)
+        alpha = EPSeq.parse("111010(110)")
+        t = tau(classify(alpha), beta_from_alpha(alpha))
         assert t.greedy == eps("010", "110")
 
     def test_beta_two(self):
-        record = classify(periodic("1"))
-        t = tau(record)
+        alpha = periodic("1")
+        t = tau(classify(alpha), beta_from_alpha(alpha))
         assert t.greedy == word_zeros("1")
         assert t.value.contains(Fraction(1, 2))
 
@@ -168,8 +192,7 @@ class TestTau:
     def test_greedy_output_is_greedy(self):
         for text in ["111010(110)", "(110)", "11(01)", "(1100)", "(1110101100)", "(1)"]:
             alpha = EPSeq.parse(text)
-            record = classify(alpha)
-            t = tau(record)
+            t = tau(classify(alpha), beta_from_alpha(alpha))
             assert is_greedy_admissible(t.greedy, alpha)
 
     def test_value_agrees_with_symbolic(self):
@@ -233,7 +256,6 @@ class TestTheta:
     def test_requires_renormalization_relation(self):
         from betahole.base_solver import TPoint
         from betahole.seq_core import RatInterval
-        from betahole.errors import PreconditionError
 
         beta = beta_from_alpha(periodic("110"))
         beta_hat = beta_from_alpha(periodic("10"))

@@ -287,6 +287,10 @@ class TestExitCodeContract:
         code = cli.run(argv)
         out = capsys.readouterr().out
         assert code in (0, 2, 3, 4), argv
+        if code == 4:
+            # a chain deeper than --max-depth, printed as the partial record
+            assert argv[0] == "classify" and "--max-depth" in argv, argv
+            assert set(json.loads(out)) == {"alpha", "chain", "position", "schema"}, argv
         if code in (2, 3):
             assert out == "", argv
         elif argv[0] == "staircase" and code == 0:
@@ -297,11 +301,41 @@ class TestExitCodeContract:
             assert json.loads(out)["schema"] == "betahole/1", argv
 
     def test_depth_exceeded_prints_json(self, capsys):
-        # the Stern-Brocot descent to the factor 00001 needs 4 steps
+        # (10000) is the left endpoint of I^00001: --max-depth 0 stops
+        # before the first factor, and --max-depth 2 reaches it although
+        # its Stern-Brocot descent takes 4 steps
         from betahole import cli
 
-        code = cli.run(["classify", "--alpha", "(10000)", "--max-depth", "2"])
-        captured = capsys.readouterr()
+        code = cli.run(["classify", "--alpha", "(10000)", "--max-depth", "0"])
         assert code == 4
-        assert json.loads(captured.out)["position"] == "depth_limited"
-        assert "depth limited" in captured.err
+        assert json.loads(capsys.readouterr().out) == {
+            "alpha": "(10000)", "chain": [], "position": "depth_limited", "schema": "betahole/1"}
+        code = cli.run(["classify", "--alpha", "(10000)", "--max-depth", "2"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert (data["chain"], data["position"]) == (["00001"], "left")
+
+
+class TestLongFareyFactor:
+    # (1 0^k) is the left endpoint of I^{0^k 1}, whose Stern-Brocot
+    # descent takes k steps, more than the default --max-depth of 64
+    @pytest.mark.parametrize(
+        "argv",
+        [["classify"], ["tau"], ["plateaus", "--max-len", "4"], ["staircase", "--points", "3"], ["windows"],
+         ["gap", "--m", "3"], ["transitive", "--word", "01"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_command_exits_4(self, argv, capsys):
+        from betahole import cli
+
+        code = cli.run([argv[0], "--alpha", "(1%s)" % ("0" * 70)] + argv[1:])
+        assert code in (0, 3), (argv, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("k", [70, 500])
+    def test_classify(self, k, capsys):
+        from betahole import cli
+
+        code = cli.run(["classify", "--alpha", "(1%s)" % ("0" * k)])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert (data["chain"], data["position"]) == (["0" * k + "1"], "left")

@@ -3,6 +3,7 @@ bases, the class-based transitivity criterion must agree with the
 automaton verdict, tau's output must be a greedy expansion, and the
 classifier's endpoints must recheck."""
 
+import functools
 import random
 
 import pytest
@@ -192,25 +193,51 @@ def test_transitive_core_entropy_sweep(alpha):
         assert abs(float(h_full.mid()) - float(h_hat.mid()) / len(core.R)) < 1e-9
 
 
-# bases where the core renormalizes: deep interiors and the endpoints of
-# basic intervals of degree 2 and 3
-RENORMALIZING_ALPHAS = WINDOW_FIXTURES + [
-    endpoint_alpha(chain, which)
-    for chain in [["01", "01"], ["01", "011"], ["011", "01"], ["01", "001"], ["01", "01", "01"]]
-    for which in ["l", "*", "r"]
-]
+# bases where the core renormalizes: deep interiors, and the endpoints of
+# basic intervals of degree 2 and 3 by their alphas.  The test checks each
+# endpoint alpha, so that a broken substitution fails it rather than the
+# collection of this module.
+RENORMALIZING_ENDPOINTS = {
+    "(1100)": (["01", "01"], "l"),
+    "1101001(0110)": (["01", "01"], "*"),
+    "110(1001)": (["01", "01"], "r"),
+    "(110100)": (["01", "011"], "l"),
+    "110101001(100110)": (["01", "011"], "*"),
+    "110(101001)": (["01", "011"], "r"),
+    "(111010)": (["011", "01"], "l"),
+    "1110110101(101110)": (["011", "01"], "*"),
+    "1110(110101)": (["011", "01"], "r"),
+    "(110010)": (["01", "001"], "l"),
+    "110011001(010110)": (["01", "001"], "*"),
+    "110(011001)": (["01", "001"], "r"),
+    "(11010010)": (["01", "01", "01"], "l"),
+    "110100110010110(01101001)": (["01", "01", "01"], "*"),
+    "1101001(10010110)": (["01", "01", "01"], "r"),
+}
 # renormalized words Phi_R(w-hat) are |R| times longer than w-hat
 CORE_POOL = list(lyndon_words(10, min_len=2))
+
+
+@functools.lru_cache(maxsize=None)
+def _admissible_alphas():
+    """500 distinct admissible alphas 1 pre (per) with |pre| <= 6 and
+    |per| <= 7, drawn once with a fixed seed."""
+    rng = random.Random(2026)
+    out = set()
+    while len(out) < 500:
+        pre = "".join(rng.choice("01") for _ in range(rng.randrange(7)))
+        per = "".join(rng.choice("01") for _ in range(rng.randint(1, 7)))
+        alpha = eps("1" + pre, per)
+        if is_admissible_alpha(alpha) and alpha != periodic("1"):
+            out.add(alpha)
+    return sorted(out, key=str)
 
 
 @st.composite
 def alphas_and_words(draw):
     """A random admissible alpha and a beta-Lyndon word w of length <= 8
     with w^inf below tau."""
-    pre = draw(st.text("01", max_size=6))
-    per = draw(st.text("01", min_size=1, max_size=7))
-    alpha = eps("1" + pre, per)
-    assume(is_admissible_alpha(alpha) and alpha != periodic("1"))
+    alpha = draw(st.sampled_from(_admissible_alphas()))
     tau_g = tau_greedy_seq(classify(alpha))
     words = [w for w in WORD_POOL if is_beta_lyndon(w, alpha) and periodic(w) < tau_g]
     assume(words)
@@ -243,10 +270,13 @@ def test_verdict_core_matches_separate_core(case):
     _assert_core_matches_separate(w, alpha, classify(alpha))
 
 
-@pytest.mark.parametrize("alpha", RENORMALIZING_ALPHAS, ids=str)
-def test_verdict_core_matches_separate_core_sweep(alpha):
+@pytest.mark.parametrize("text", [str(a) for a in WINDOW_FIXTURES] + list(RENORMALIZING_ENDPOINTS))
+def test_verdict_core_matches_separate_core_sweep(text):
     # every word of CORE_POOL below tau: renormalized cores and windows
     # are rare among random draws
+    alpha = EPSeq.parse(text)
+    if text in RENORMALIZING_ENDPOINTS:
+        assert endpoint_alpha(*RENORMALIZING_ENDPOINTS[text]) == alpha
     record = classify(alpha)
     tau_g = tau_greedy_seq(record)
     for w in CORE_POOL:

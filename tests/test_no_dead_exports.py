@@ -21,10 +21,14 @@ KEPT = {
 }
 
 
+def _package_trees():
+    return [ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))]
+
+
 def _definitions_and_references():
     defined, referenced = set(), set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text(), filename=str(path)).body:
+    for tree in _package_trees():
+        for node in tree.body:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue  # an import or re-export is not a use
             own = getattr(node, "name", None)
@@ -52,3 +56,31 @@ def test_kept_names_are_defined_and_unreferenced():
     # leaves this list
     defined, referenced = _definitions_and_references()
     assert sorted(name for name in KEPT if name not in defined or name in referenced) == []
+
+
+def test_every_error_is_raised():
+    # an error class that nothing raises leaves a dead branch in each
+    # handler that catches it
+    from betahole import errors
+
+    subclasses = {name for name, obj in vars(errors).items()
+                  if isinstance(obj, type) and issubclass(obj, errors.BetaholeError) and obj is not errors.BetaholeError}
+    raised = set()
+    for tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised |= {getattr(sub, "id", getattr(sub, "attr", None)) for sub in ast.walk(node.exc)}
+    assert sorted(subclasses - raised) == []
+
+
+def test_every_position_is_used():
+    # each member appears as Position.NAME somewhere (the enum body
+    # assigns bare names)
+    from betahole.classifier import Position
+
+    used = set()
+    for tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and "Position" in (getattr(node.value, "id", None), getattr(node.value, "attr", None)):
+                used.add(node.attr)
+    assert sorted(set(Position.__members__) - used) == []
