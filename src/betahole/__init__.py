@@ -26,6 +26,7 @@ from .lyndon_intervals import (
     gap_point,
     in_E_beta,
     is_beta_lyndon,
+    plateau_entropy,
     plateaus,
     v_star,
 )
@@ -37,7 +38,6 @@ from .survivor_shift import (
     build_automaton,
     dimension,
     entropy,
-    entropy_of_bounds,
     is_transitive_sofic,
 )
 from .windows import WindowRecord, WindowSet, build_windows, is_transitive, maximal_windows, transitive_core

@@ -185,6 +185,9 @@ def cmd_staircase(args) -> int:
     for n in range(2, 21):
         if len(samples) >= args.points:
             break
+        # (0^(n-1) 1)^inf is the least w^inf over the Lyndon words of length n
+        if tau_greedy <= periodic("0" * (n - 1) + "1"):
+            continue
         for w in lyndon_words(n, min_len=n):
             if not lyndon_intervals.is_beta_lyndon(w, alpha):
                 continue
@@ -197,7 +200,7 @@ def cmd_staircase(args) -> int:
     lines = ["t_lo,t_hi,dim_lo,dim_hi,seq"]
     for t_r in samples:
         value = base_solver.t_point_value(t_r, spec)
-        res = survivor_shift.entropy(survivor_shift.build_automaton(t_r, alpha))
+        res = lyndon_intervals.plateau_entropy(t_r.per, alpha)
         t_lo, t_hi = format_interval(value)
         d_lo, d_hi = format_interval(res.h.divide(log_beta))
         lines.append("%s,%s,%s,%s,%s" % (t_lo, t_hi, d_lo, d_hi, t_r))

@@ -1,12 +1,15 @@
 """beta-Lyndon words, extended beta-Lyndon intervals (EBLIs), entropy
-plateaus, membership in the bifurcation set E_beta, and the exceptional
-points of E_beta \\ B_beta.
+plateaus and the entropy h(K_beta(t)) at their right ends, membership in
+the bifurcation set E_beta, and the exceptional points of
+E_beta \\ B_beta.
 
 A Lyndon word w is beta-Lyndon when w^inf is a valid greedy expansion,
 i.e. every shift of w^inf stays strictly below alpha(beta).  Its plain
 interval is [pi(w 0^inf), pi(w^inf)]; when some tail of alpha drops to
 or below w^inf the interval extends leftward to w^- (a_1..a_m^-)^inf
-with m the first such shift.
+with m the first such shift.  The entropy at t = w^inf
+(``plateau_entropy``) is read from the kneading polynomial of w^inf and
+the greatest point of Sigma_{w^inf, alpha}, which that same m gives.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import List, Optional, Tuple
 
-from .base_solver import is_greedy_admissible
+from .base_solver import check_admissible_alpha, is_greedy_admissible
 from .classifier import ClassRecord, Position, classify, endpoint_position, tau_greedy_seq
 from .errors import InvariantError, NoCandidate, PreconditionError
 from .seq_core import (
@@ -30,7 +33,7 @@ from .seq_core import (
     word_zeros,
 )
 from .substitution import bullet
-from .survivor_shift import entropy_of_bounds
+from .survivor_shift import EntropyResult, _kneading_entropy
 from .word_combinatorics import cyclic_max, is_farey, is_lyndon, lyndon_words
 
 
@@ -73,16 +76,73 @@ class Ebli:
         return self.m is None
 
 
+def _window(alpha: EPSeq, w: str) -> int:
+    """|alpha.pre| + |alpha.per| |w|: at least the decision bound of
+    ``lex_cmp`` (the longer preperiod plus the lcm of the periods) for a
+    tail of alpha against a sequence of period |w|, so two such sequences
+    are equal when their first this many digits are."""
+    return len(alpha.pre) + len(alpha.per) * len(w)
+
+
+def _first_tail_at_or_below(alpha: EPSeq, w: str) -> Optional[int]:
+    """m, the first n >= 1 with sigma^n(alpha) <= w^inf; None when there is
+    none.  Each tail is compared with w^inf as a digit string of length
+    ``_window(alpha, w)``."""
+    size = _window(alpha, w)
+    digits = alpha.prefix(n_tails(alpha) + size)
+    target = (w * (size // len(w) + 1))[:size]
+    for n in range(1, n_tails(alpha) + 1):
+        if digits[n : n + size] <= target:
+            return n
+    return None
+
+
+def _greatest_point(w: str, alpha: EPSeq) -> EPSeq:
+    """The greatest point of Sigma_{w^inf, alpha} for a beta-Lyndon w:
+    (a_1..a_m^-)^inf, the upper end implied by the extended EBLI's left
+    end, when the first tail sigma^m(alpha) at or below w^inf is strictly
+    below it, and alpha otherwise.  A first such tail equal to w^inf
+    leaves alpha in the shift, since every later tail is a rotation of
+    the Lyndon word's w^inf and so not below it."""
+    m = _first_tail_at_or_below(alpha, w)
+    if m is None or shift(alpha, m) == periodic(w):
+        return alpha
+    return periodic(minus(alpha.prefix(m)))
+
+
+def plateau_entropy(w: str, alpha: EPSeq) -> EntropyResult:
+    """h(K_beta(t)) at t = w^inf for a beta-Lyndon word w: the entropy of
+    Sigma_{v,u}, where v = w^inf and u is its greatest point, taken from
+    the kneading polynomial of (v, u) rather than from an automaton.
+
+    v is the least point (w is Lyndon and w^inf is admissible), so with
+    A the adjacency matrix of the automaton of Sigma_{v,u}, of periods q
+    = |w| and p = |u.per|,
+      (1 - z) det(I - zA) = (1 - z^p)(1 - z^q)(1 - sum_{n>=1} (u_n - v_n) z^n)
+    is an identity of integer polynomials.  It is the kneading
+    determinant of a lexicographic shift with eventually periodic
+    kneading data, whose inverse is the Artin-Mazur zeta function
+    (Milnor-Thurston 1988; Hubbard-Sparrow 1990 for the two kneading
+    sequences of a Lorenz map; Flatto-Lagarias-Poonen 1994 for the beta
+    shift, v = 0^inf); the tests check it exactly on random pairs.  So
+    lambda = exp h is 1 / z0 for the smallest root z0 of the right side
+    in (0, 1), and 1 when it has none.  Raises PreconditionError when w
+    is not beta-Lyndon for alpha.
+    """
+    check_admissible_alpha(alpha)
+    # w^inf is admissible when its greatest shift, L(w)^inf, lies below alpha
+    size = _window(alpha, w)
+    if not (is_lyndon(w) and (cyclic_max(w) * (size // len(w) + 1))[:size] < alpha.prefix(size)):
+        raise PreconditionError("%r is not beta-Lyndon for alpha = %s" % (w, alpha))
+    return _kneading_entropy(periodic(w), _greatest_point(w, alpha))
+
+
 def ebli(w: str, alpha: EPSeq) -> Ebli:
     """The (possibly extended) interval of the beta-Lyndon word w."""
     if not is_beta_lyndon(w, alpha):
         raise PreconditionError("%r is not beta-Lyndon for alpha = %s" % (w, alpha))
     target = periodic(w)
-    m = None
-    for n in range(1, n_tails(alpha) + 1):
-        if shift(alpha, n) <= target:
-            m = n
-            break
+    m = _first_tail_at_or_below(alpha, w)
     if m is None:
         return Ebli(w, word_zeros(w), target, None)
     head = alpha.prefix(m)
@@ -151,7 +211,7 @@ def plateaus(alpha: EPSeq, max_word_len: int = 12) -> PlateauReport:
         elif stack[-1].right_seq < e.right_seq:
             raise InvariantError("EBLIs of %r and %r overlap without nesting" % (stack[-1].w, e.w))
         stack.append(e)
-    out = [Plateau("ebli", e, entropy_of_bounds(e.right_seq, alpha).h) for e in maximal]
+    out = [Plateau("ebli", e, plateau_entropy(e.w, alpha).h) for e in maximal]
     out.append(Plateau("terminal", None, RatInterval.point(0)))
     gaps = []
     prev: Optional[EPSeq] = None

@@ -1,6 +1,7 @@
 """Automaton presentation of the subshift Sigma_{lower,upper}, its
-entropy via a certified Perron root, and sofic transitivity.  The
-brute-force word oracles that check the automaton live in the tests.
+entropy via a certified Perron root, the kneading-polynomial entropy
+kernel, and sofic transitivity.  The brute-force word oracles that check
+the automaton live in the tests.
 
 Sigma_{a,b} = { z : a <= sigma^n(z) <= b for all n }.  A word is viable
 when none of its suffixes has dropped below a or risen above b.  The
@@ -23,6 +24,16 @@ exactly on an integer approximation of the Perron vector: for any
 positive integer vector u and irreducible nonnegative A,
 min_i (Au)_i/u_i <= lambda <= max_i (Au)_i/u_i.  The power steps run on
 A for an aperiodic component and on A + I for a periodic one.
+
+When lower and upper are the least and the greatest point of the shift,
+no automaton is needed: lambda is 1 / z0 for the smallest root z0 in
+(0, 1) of the integer kneading polynomial
+G(z) = (1 - z^p)(1 - z^q)(1 - sum_{n>=1} (u_n - v_n) z^n), with p and q
+the periods of upper and lower, and 1 when there is none.  The root is
+isolated by Descartes' rule on dyadic intervals and refined by Newton
+steps inside a bracket that exact integer signs of G move
+(``_kneading_entropy``; ``lyndon_intervals.plateau_entropy`` is its
+caller, and the identity is cited there).
 """
 
 from __future__ import annotations
@@ -403,10 +414,268 @@ def dimension(result: EntropyResult, beta_enclosure: RatInterval) -> RatInterval
     return result.h.divide(log_interval(beta_enclosure))
 
 
-def entropy_of_bounds(lower: EPSeq, upper: EPSeq) -> EntropyResult:
-    """Entropy of Sigma_{lower,upper}; pass the result to ``dimension``
-    for h / log beta."""
-    return entropy(build_automaton(lower, upper))
+# ---------------------------------------------------------------------------
+# kneading polynomial and its smallest root
+
+# isolation depth past which the polynomial is replaced by its square-free
+# part; Descartes' count never falls to one around a multiple root
+_SQUAREFREE_DEPTH = 32
+
+
+def _series_numerator(x: EPSeq) -> List[int]:
+    """Coefficients, lowest degree first, of (1 - z^q) sum_{n>=1} x_n z^n
+    for x = p(q): P(z) (1 - z^q) + z^|p| Q(z), where P and Q are the
+    digit polynomials of p and q, starting at z^1."""
+    a, q = len(x.pre), len(x.per)
+    out = [0] * (a + q + 1)
+    for i, d in enumerate(x.pre, 1):
+        if d == "1":
+            out[i] += 1
+            out[i + q] -= 1
+    for j, d in enumerate(x.per, 1):
+        if d == "1":
+            out[a + j] += 1
+    return out
+
+
+def _times_one_minus_power(c: List[int], n: int) -> List[int]:
+    """Coefficients of (1 - z^n) c(z), lowest degree first."""
+    out = c + [0] * n
+    for i, a in enumerate(c):
+        out[i + n] -= a
+    return out
+
+
+def _kneading_poly(lower: EPSeq, upper: EPSeq) -> List[int]:
+    """Coefficients, lowest degree first and without trailing zeros, of
+    G(z) = (1 - z^p)(1 - z^q)(1 - sum_{n>=1} (u_n - v_n) z^n), where
+    v = lower and u = upper have periods q and p."""
+    p, q = len(upper.per), len(lower.per)
+    # (1 - z^p) minus (1 - z^p) sum u_n z^n; the latter has degree >= p
+    head = [-c for c in _series_numerator(upper)]
+    head[0] += 1
+    head[p] -= 1
+    a = _times_one_minus_power(head, q)
+    b = _times_one_minus_power(_series_numerator(lower), p)
+    if len(a) < len(b):
+        a, b = b, a
+    for i, c in enumerate(b):
+        a[i] += c
+    while a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _horner(coeffs: List[int], a: int, k: int) -> int:
+    """2^(k deg f) f(a / 2^k) in integers, coefficients lowest degree first."""
+    h = 0
+    for i, c in enumerate(reversed(coeffs)):
+        h = h * a + (c << (k * i) if c else 0)
+    return h
+
+
+def _taylor_shift(coeffs: List[int]) -> List[int]:
+    """Coefficients of f(x + 1), lowest degree first.
+
+    Kronecker substitution: f(2^B + 1) = sum_j c_j 2^(B j) by Horner, and
+    the signed digits c_j are read back.  |c_j| <= max |f_i| 2^(deg f + 1),
+    so B = bits(max |f_i|) + deg f + 2 keeps each below 2^(B - 1).
+    """
+    d = len(coeffs) - 1
+    B = max(map(abs, coeffs)).bit_length() + d + 2
+    h = 0
+    for a in reversed(coeffs):
+        h = (h << B) + h + a
+    mask, half = (1 << B) - 1, 1 << (B - 1)
+    out = []
+    for _ in range(d + 1):
+        c = h & mask
+        if c >= half:
+            c -= 1 << B
+        out.append(c)
+        h = (h - c) >> B
+    return out
+
+
+def _sign_variations(coeffs: List[int]) -> int:
+    """Sign changes along the coefficients, zeros skipped."""
+    count, last = 0, 0
+    for c in coeffs:
+        if c:
+            if last and (c > 0) != (last > 0):
+                count += 1
+            last = c
+    return count
+
+
+def _poly_divmod(a, b):
+    """Quotient and remainder of a / b over the rationals, lowest degree
+    first; b has a nonzero leading coefficient."""
+    rem = [Fraction(c) for c in a]
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
+    for s in range(len(a) - len(b), -1, -1):
+        coef = rem[s + len(b) - 1] / b[-1]
+        quot[s] = coef
+        for i, c in enumerate(b):
+            rem[s + i] -= coef * c
+    rem = rem[: len(b) - 1]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
+
+
+def _squarefree_part(coeffs: List[int]) -> List[int]:
+    """f / gcd(f, f') as a primitive integer polynomial: the same roots,
+    each simple."""
+    a, b = coeffs, [i * c for i, c in enumerate(coeffs)][1:]
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    quot, rem = _poly_divmod(coeffs, a)
+    if rem:
+        raise InvariantError("the gcd does not divide the polynomial")
+    den = 1
+    for c in quot:
+        den = den * c.denominator // gcd(den, c.denominator)
+    out = [int(c * den) for c in quot]
+    g = 0
+    for c in out:
+        g = gcd(g, c)
+    return [c // g for c in out]
+
+
+def _isolate(coeffs: List[int]):
+    """The smallest root of f in [1/2, 1), for f without roots in (0, 1/2):
+    None when there is none; (k, c, None) when it is exactly c / 2^k; else
+    (k, c, g), where g is f or its square-free part and has exactly one
+    root in (c / 2^k, (c + 1) / 2^k), a simple one, and none at either end.
+
+    Descartes' rule on dyadic subintervals, left half first (Vincent;
+    Collins-Akritas 1976).  A node holds q(x) = 2^(k deg f) f((c + x) / 2^k),
+    and the sign variations of (1 + x)^deg q(1 / (1 + x)) bound its roots in
+    (0, 1).  Every interval left of a node is already excluded, so q(0) = 0
+    makes the node's left end the smallest root.  Past _SQUAREFREE_DEPTH
+    the search restarts on the square-free part, whose roots are simple, so
+    the count reaches 0 or 1 on small enough intervals (Vincent's theorem).
+    """
+
+    def halved(q):
+        d = len(q) - 1
+        return [a << (d - i) for i, a in enumerate(q)]  # 2^d q(x / 2)
+
+    squarefree = False
+    # entries (k, c, q, right): a right half's q is shifted by 1 when popped
+    stack = [(1, 1, halved(coeffs), True)]
+    while stack:
+        k, c, q, right = stack.pop()
+        if right:
+            q = _taylor_shift(q)
+        if q[0] == 0:
+            return k, c, None
+        count = _sign_variations(_taylor_shift(q[::-1]))
+        if count == 0:
+            continue
+        if count == 1 and sum(q):
+            return k, c, coeffs
+        if k == _SQUAREFREE_DEPTH and not squarefree:
+            coeffs, squarefree = _squarefree_part(coeffs), True
+            stack = [(1, 1, halved(coeffs), True)]
+            continue
+        left = halved(q)
+        stack.append((k + 1, 2 * c + 1, left, True))
+        stack.append((k + 1, 2 * c, left, False))
+    return None
+
+
+def _inverse_smallest_root(coeffs: List[int], tol: Fraction = ENTROPY_TOL) -> RatInterval:
+    """Enclosure, of width at most tol, of 1 / z0, where z0 is the smallest
+    root in [1/2, 1) of the integer polynomial f (lowest degree first), and
+    f has no root in (0, 1/2); exactly 1 when f has no root in (0, 1).
+
+    After ``_isolate``, one safeguarded loop shrinks the bracket
+    lo / 2^K < z0 < hi / 2^K, starting from a float Newton estimate.  Each
+    round takes the Newton step from the last point when it lands inside
+    the bracket and the midpoint otherwise.  A Newton step s leaves an
+    error of about s^2 f''/2f', so the round then probes 4 s^2 past the new
+    point, towards the root, and bisects when the bracket has not halved.
+    The exact sign of f at each dyadic point, from integer Horner, moves
+    one end; no float decides anything.  The bracket shrinks every round,
+    and one unit is narrow enough: with z0 >= 1/2, 1/z0 is known to within
+    2^K / (lo hi) < 2^(2 - K), and 2^(2 - K) < tol for the K below.
+    """
+    found = _isolate(coeffs)
+    if found is None:
+        return RatInterval.point(Fraction(1))
+    k, c, f = found
+    if f is None:
+        return RatInterval.point(Fraction(1 << k, c))
+    df = [i * a for i, a in enumerate(f)][1:]
+    K = max(k, (tol.denominator // tol.numerator).bit_length() + 3)
+    lo, hi = c << (K - k), (c + 1) << (K - k)
+    lo_positive = _horner(f, lo, K) > 0
+
+    def cut(point):
+        """Move the end of the bracket on point's side of z0 to point,
+        or both ends when point is z0; the value of f there."""
+        nonlocal lo, hi
+        value = _horner(f, point, K)
+        if value == 0:
+            lo = hi = point
+        elif (value > 0) == lo_positive:
+            lo = point
+        else:
+            hi = point
+        return value
+
+    x = _float_newton(f, lo / (1 << K), hi / (1 << K))
+    x = min(max(round(x * (1 << K)), lo + 1), hi - 1)
+    fx = cut(x)
+    # 1/z0 lies in [2^K / hi, 2^K / lo], of width 2^K (hi - lo) / (lo hi)
+    while ((hi - lo) << K) * tol.denominator > tol.numerator * lo * hi:
+        width = hi - lo
+        dfx = _horner(df, x, K)
+        y = x - fx // dfx if dfx else None
+        if y is None or not lo < y < hi:
+            y = (lo + hi) >> 1
+        fy = cut(y)
+        probe = max(4 * (y - x) ** 2 >> K, 1)
+        z = y + probe if lo == y else y - probe
+        if lo < z < hi:
+            cut(z)
+        if hi - lo > width >> 1:
+            cut((lo + hi) >> 1)
+        x, fx = y, fy
+    return RatInterval(Fraction(1 << K, hi), Fraction(1 << K, lo))
+
+
+def _float_newton(f: List[int], lo: float, hi: float) -> float:
+    """A float estimate of the root of f in (lo, hi): Newton steps from
+    the midpoint while they stay inside and still move it."""
+    # coefficients scaled to at most 64 bits, so that none overflows a float
+    scale = 1 << max(max(map(abs, f)).bit_length() - 64, 0)
+    f = [a / scale for a in f]
+    x = (lo + hi) / 2
+    for _ in range(32):
+        v = dv = 0.0
+        for a in reversed(f):
+            dv = dv * x + v
+            v = v * x + a
+        if not dv:
+            break
+        y = x - v / dv
+        if not lo < y < hi or y == x:
+            break
+        x = y
+    return x
+
+
+def _kneading_entropy(lower: EPSeq, upper: EPSeq) -> EntropyResult:
+    """Entropy of Sigma_{lower,upper} from its kneading polynomial, for
+    bounds that are the least and the greatest point of the shift:
+    lambda = 1 / z0, with z0 the smallest root of ``_kneading_poly`` in
+    (0, 1), and lambda = 1 when there is none.  A shift on two symbols
+    has lambda <= 2, so z0 >= 1/2."""
+    lam = _inverse_smallest_root(_kneading_poly(lower, upper))
+    return EntropyResult(h=log_interval(lam), perron=lam)
 
 
 # ---------------------------------------------------------------------------

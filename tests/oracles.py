@@ -10,6 +10,16 @@ None of this is imported by the library.
 - ``build_automaton_frozenset``: the automaton construction with
   frozenset states of folded depths and a fixpoint out-trim, the oracle
   for the bitmask ``survivor_shift.build_automaton``.
+- ``entropy_of_bounds``: entropy of Sigma_{lower,upper} from its
+  automaton and Perron roots, the production path before
+  ``lyndon_intervals.plateau_entropy`` read it from the kneading
+  polynomial, and the oracle for it.
+- ``first_tail_loop``: the shift loop ``ebli`` once ran for its m, the
+  oracle for the digit-string ``_first_tail_at_or_below``.
+- ``det_one_minus_zA`` / ``extreme_path``: det(I - zA) of an automaton
+  by traces and Newton's identities, and its greatest or least infinite
+  path; with them the kneading identity (1 - z) det(I - zA) = G and the
+  engine's greatest point are checked exactly.
 - ``pi_beta_fraction``: the Fraction recursion for pi_beta at a rational
   beta, the oracle for the integer Horner ``seq_core.pi_beta_at``.
 - ``essential_states`` / ``essential_part``: the restriction of an
@@ -45,7 +55,14 @@ from betahole.errors import PreconditionError
 from betahole.lyndon_intervals import is_beta_lyndon
 from betahole.seq_core import EPSeq, RatInterval, eps, minus, n_tails, periodic, shift
 from betahole.substitution import compose_chain, phi_inverse, phi_inverse_word
-from betahole.survivor_shift import ENTROPY_TOL, ShiftAutomaton, _nontrivial_sccs
+from betahole.survivor_shift import (
+    ENTROPY_TOL,
+    EntropyResult,
+    ShiftAutomaton,
+    _nontrivial_sccs,
+    build_automaton,
+    entropy,
+)
 from betahole.windows import TransitiveCore, build_windows
 from betahole.word_combinatorics import cyclic_max, is_lyndon
 
@@ -108,6 +125,63 @@ def build_automaton_frozenset(lower: EPSeq, upper: EPSeq) -> ShiftAutomaton:
             if j in remap:
                 new_edges[new][d] = remap[j]
     return ShiftAutomaton(new_edges, remap[0])
+
+
+def entropy_of_bounds(lower: EPSeq, upper: EPSeq) -> EntropyResult:
+    """Entropy of Sigma_{lower,upper} from its automaton and the Perron
+    roots of its components."""
+    return entropy(build_automaton(lower, upper))
+
+
+def first_tail_loop(alpha: EPSeq, w: str) -> Optional[int]:
+    """The first n >= 1 with sigma^n(alpha) <= w^inf, by the shift loop
+    over alpha's distinct tails; None when there is none."""
+    target = periodic(w)
+    return next((n for n in range(1, n_tails(alpha) + 1) if shift(alpha, n) <= target), None)
+
+
+def det_one_minus_zA(aut: ShiftAutomaton) -> List[int]:
+    """Coefficients, lowest degree first and without trailing zeros, of
+    det(I - zA) for the automaton's adjacency matrix A: the traces
+    p_k = tr(A^k), then Newton's identities k c_k = -sum_{i<=k} p_i c_(k-i)
+    in Fractions."""
+    n = aut.n_states
+    succ = [list(out.values()) for out in aut.edges]
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    traces = []
+    for _ in range(n):
+        nxt = [[0] * n for _ in range(n)]
+        for i, row in enumerate(power):
+            for j, a in enumerate(row):
+                if a:
+                    for t in succ[j]:
+                        nxt[i][t] += a
+        power = nxt
+        traces.append(sum(power[i][i] for i in range(n)))
+    coeffs = [Fraction(1)]
+    for k in range(1, n + 1):
+        coeffs.append(-sum(traces[i - 1] * coeffs[k - i] for i in range(1, k + 1)) / k)
+    if any(c.denominator != 1 for c in coeffs):
+        raise AssertionError("det(I - zA) with a non-integer coefficient")
+    out = [int(c) for c in coeffs]
+    while out[-1] == 0:
+        out.pop()
+    return out
+
+
+def extreme_path(aut: ShiftAutomaton, digit: str) -> EPSeq:
+    """The greatest (digit "1") or least (digit "0") infinite path label of
+    the out-trimmed automaton: from the start state, read ``digit`` when it
+    has an edge and the other digit otherwise, until a state repeats."""
+    other = "0" if digit == "1" else "1"
+    state, seen, labels = aut.start, {}, []
+    while state not in seen:
+        seen[state] = len(labels)
+        d = digit if digit in aut.edges[state] else other
+        labels.append(d)
+        state = aut.edges[state][d]
+    start = seen[state]
+    return EPSeq("".join(labels[:start]), "".join(labels[start:]))
 
 
 def pi_beta_fraction(x: EPSeq, beta: Fraction) -> Fraction:

@@ -28,7 +28,6 @@ from betahole.substitution import bullet, phi, phi_inverse, sandwich_points
 from betahole.survivor_shift import (
     build_automaton,
     entropy,
-    entropy_of_bounds,
     is_transitive_sofic,
 )
 from betahole.windows import build_windows, is_transitive, maximal_windows
@@ -40,7 +39,14 @@ from betahole.word_combinatorics import (
     lyndon_words,
     xi,
 )
-from oracles import count_words, count_words_oracle, essential_part, nesting_or_disjoint, oracle_words
+from oracles import (
+    count_words,
+    count_words_oracle,
+    entropy_of_bounds,
+    essential_part,
+    nesting_or_disjoint,
+    oracle_words,
+)
 
 
 def report(number, text):

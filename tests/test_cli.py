@@ -220,6 +220,42 @@ class TestInProcess:
         assert len(calls) == 1
 
 
+class TestPlateauEntropyPath:
+    # plateaus and staircase take every entropy from the kneading polynomial
+    @pytest.mark.parametrize(
+        "argv",
+        [["plateaus", "--alpha", "1110100110111(001)", "--max-len", "7"],
+         ["staircase", "--alpha", "(1110101100)", "--points", "30"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_automaton_or_perron_root(self, argv, capsys, monkeypatch):
+        from betahole import cli, survivor_shift
+
+        calls = []
+        for name in ("build_automaton", "perron_root"):
+            real = getattr(survivor_shift, name)
+            monkeypatch.setattr(survivor_shift, name,
+                                lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
+        assert cli.run(argv) == 0
+        out = capsys.readouterr().out
+        assert calls == []
+        if argv[0] == "plateaus":
+            assert any(row.get("m") for row in json.loads(out)["plateaus"])  # an extended EBLI
+        else:
+            assert len(out.splitlines()) == 31
+
+    def test_staircase_skips_lengths_that_cannot_reach_tau(self, capsys, monkeypatch):
+        # tau is 0^70 1 0^inf, below (0^(n-1) 1)^inf for every n <= 20
+        from betahole import cli, lyndon_intervals
+
+        calls = []
+        real = lyndon_intervals.is_beta_lyndon
+        monkeypatch.setattr(lyndon_intervals, "is_beta_lyndon", lambda w, alpha: calls.append(w) or real(w, alpha))
+        assert cli.run(["staircase", "--alpha", "(1%s)" % ("0" * 70), "--points", "3"]) == 0
+        assert capsys.readouterr().out == "t_lo,t_hi,dim_lo,dim_hi,seq\n"
+        assert calls == []
+
+
 # An argument grammar over all 11 subcommands: admissible, inadmissible
 # and malformed alphas, bad counts, and now and then a missing required
 # flag.  Inputs stay small (--max-len <= 6, --points <= 5).

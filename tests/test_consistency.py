@@ -16,10 +16,10 @@ from betahole.errors import PreconditionError
 from betahole.lyndon_intervals import is_beta_lyndon
 from betahole.seq_core import EPSeq, eps, minus, periodic
 from betahole.substitution import phi
-from betahole.survivor_shift import build_automaton, entropy_of_bounds, is_transitive_sofic
+from betahole.survivor_shift import build_automaton, is_transitive_sofic
 from betahole.windows import is_transitive, transitive_core
 from betahole.word_combinatorics import farey_level, lyndon_words
-from oracles import transitive_core_separate
+from oracles import entropy_of_bounds, transitive_core_separate
 
 WORD_POOL = list(lyndon_words(8, min_len=2))
 

@@ -25,6 +25,7 @@ from betahole.word_combinatorics import cyclic_max, lyndon_words
 from oracles import (
     beta_lyndon_loop,
     ebli_contains,
+    entropy_of_bounds,
     greedy_admissible_loop,
     in_E_beta_loop,
     is_maximal_ebli,
@@ -128,8 +129,6 @@ class TestEbliEntropyConstancy:
     def test_entropy_equal_at_both_endpoints(self):
         # the entropy of the survivor subshift agrees at the left and
         # right endpoints of an EBLI (plain and extended cases)
-        from betahole.survivor_shift import entropy_of_bounds
-
         cases = [("011", A_STAR), ("0011", A_STAR), ("01011", A_91), ("01", A_91)]
         for w, alpha in cases:
             e = ebli(w, alpha)
@@ -181,7 +180,6 @@ class TestExceptionalPoints:
         # subshift has zero entropy; in particular entropy is locally
         # constant across each of them
         from betahole.classifier import endpoint_alpha
-        from betahole.survivor_shift import entropy_of_bounds
 
         for chain, which in [(["01", "001"], "l"), (["011"], "*"), (["01", "01"], "r")]:
             alpha = endpoint_alpha(chain, which)

@@ -11,14 +11,21 @@ from betahole.survivor_shift import (
     build_automaton,
     dimension,
     entropy,
-    entropy_of_bounds,
     is_transitive_sofic,
     minimize,
     perron_root,
     spectral_radius,
 )
 from betahole.word_combinatorics import cyclic_max
-from oracles import count_words, count_words_oracle, descending_check, essential_part, oracle_words, succ_lists
+from oracles import (
+    count_words,
+    count_words_oracle,
+    descending_check,
+    entropy_of_bounds,
+    essential_part,
+    oracle_words,
+    succ_lists,
+)
 
 GOLDEN_MEAN_H = math.log((1 + 5**0.5) / 2)
 

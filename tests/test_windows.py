@@ -7,7 +7,7 @@ from betahole.errors import PreconditionError
 from betahole.lyndon_intervals import ebli, in_E_beta, is_beta_lyndon
 from betahole.seq_core import EPSeq, eps, periodic
 from betahole.substitution import phi
-from betahole.survivor_shift import entropy_of_bounds, is_transitive_sofic, build_automaton
+from betahole.survivor_shift import is_transitive_sofic, build_automaton
 from betahole.windows import (
     Verdict,
     build_windows,
@@ -15,6 +15,7 @@ from betahole.windows import (
     maximal_windows,
     transitive_core,
 )
+from oracles import entropy_of_bounds
 
 A_EX_A = EPSeq.parse("1110100110111(001)")  # 111 01 00110111 (001)^inf
 A_EX_C = EPSeq.parse("111001(01)")
